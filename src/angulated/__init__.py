@@ -7,6 +7,7 @@ from .core import (
     ConstraintViolation,
     DomainError,
     FamilyParams,
+    InternalError,
     Morphism,
     NotMember,
     NotWide,
@@ -26,6 +27,7 @@ from .core import (
     is_split_mono,
     join_pos,
     pos_label,
+    residue_class,
     shift_mor,
     shift_obj,
     split_pos,

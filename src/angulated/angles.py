@@ -19,6 +19,7 @@ from . import linalg
 from .core import (
     BadDistance,
     FamilyParams,
+    InternalError,
     Morphism,
     ShapeMismatch,
     SumObject,
@@ -30,6 +31,8 @@ from .core import (
     hom_dim,
     indec,
     identity_mor,
+    residue_class,
+    scale,
     shift_mor,
     shift_obj,
     zero_mor,
@@ -71,11 +74,11 @@ class Angle:
         return self.maps[-1]
 
 
-def trivial_angle(params: FamilyParams, x: SumObject) -> Angle:
-    """x --id--> x -> 0 -> ... -> 0 -> shift(x)."""
+def trivial_angle(params: FamilyParams, x: SumObject, c=1) -> Angle:
+    """x --c*id--> x -> 0 -> ... -> 0 -> shift(x); contractible for c != 0."""
     n = params.d + 2
     objects = (x, x) + (ZERO_OBJ,) * (n - 2)
-    maps = [identity_mor(params, x), zero_mor(params, x, ZERO_OBJ)]
+    maps = [scale(identity_mor(params, x), c), zero_mor(params, x, ZERO_OBJ)]
     for _ in range(n - 3):
         maps.append(zero_mor(params, ZERO_OBJ, ZERO_OBJ))
     maps.append(zero_mor(params, ZERO_OBJ, shift_obj(params, x, 1)))
@@ -140,21 +143,18 @@ def min_angle(mu: Morphism) -> Angle:
     if delta >= p.l or delta < 0:
         raise BadDistance(f"distance {delta} admits no nonzero morphism")
     if delta == 0:
-        n = p.d + 2
-        objects = (mu.source, mu.target) + (ZERO_OBJ,) * (n - 2)
-        maps = [mu, zero_mor(p, mu.target, ZERO_OBJ)]
-        for _ in range(n - 3):
-            maps.append(zero_mor(p, ZERO_OBJ, ZERO_OBJ))
-        maps.append(zero_mor(p, ZERO_OBJ, shift_obj(p, mu.source, 1)))
-        return Angle(p, objects, tuple(maps))
+        return trivial_angle(p, mu.source, entry)
     half = p.d // 2
     positions = sorted(
         [y - r * p.l for r in range(half + 1)] + [x - r * p.l for r in range(half + 1)]
     )
     # alternating gaps delta, l - delta; total span m - 1 + delta
     gaps = [b - a for a, b in zip(positions, positions[1:])]
-    assert gaps == [delta if k % 2 == 0 else p.l - delta for k in range(p.d + 1)]
-    assert positions[-1] - positions[0] == p.m - 1 + delta
+    if (
+        gaps != [delta if k % 2 == 0 else p.l - delta for k in range(p.d + 1)]
+        or positions[-1] - positions[0] != p.m - 1 + delta
+    ):
+        raise InternalError(f"minimal angle positions {positions} break the gap law")
     objects = tuple(indec(q) for q in positions)
     maps = [
         basis_mor(p, a, b) for a, b in zip(positions, positions[1:])
@@ -205,14 +205,7 @@ def extend(delta: Morphism) -> Angle:
                 rotate_left(rotate_left(trivial_angle(p, indec(spos - p.period))))
             )
     if not blocks:
-        n = p.d + 2
-        return Angle(
-            p,
-            (ZERO_OBJ,) * n,
-            tuple(
-                [zero_mor(p, ZERO_OBJ, ZERO_OBJ)] * n
-            ),
-        )
+        return trivial_angle(p, ZERO_OBJ)
     out = blocks[0]
     for b in blocks[1:]:
         out = direct_sum(out, b)
@@ -233,17 +226,6 @@ class FLevelChain:
     maps: tuple[Morphism, ...]
 
 
-def _window_positions(params: FamilyParams, i: int, j: int) -> list[int]:
-    """Positions of the two residue classes of i, j inside [1, period]."""
-    out = set()
-    for base in (i, j):
-        q = base % params.l
-        for pos in range(1, params.period + 1):
-            if pos % params.l == q:
-                out.add(pos)
-    return sorted(out)
-
-
 def _chain_maps(params, objects) -> tuple[Morphism, ...]:
     maps = []
     for a, b in zip(objects, objects[1:]):
@@ -254,11 +236,17 @@ def _chain_maps(params, objects) -> tuple[Morphism, ...]:
     return tuple(maps)
 
 
-def _require_window_pair(params, i, j):
+def _window_ladder(params, i, j) -> list[int]:
+    """Window positions of the ladder through f_i, f_j, in increasing order.
+
+    These are the residue classes of i and j mod l, disjoint because
+    1 <= j - i <= l - 1.
+    """
     if not (1 <= i <= params.period and 1 <= j <= params.period):
         raise BadDistance(f"indices must lie in [1, {params.period}]")
     if not 1 <= j - i <= params.l - 1:
         raise BadDistance(f"need 1 <= j - i <= {params.l - 1}, got {j - i}")
+    return sorted([*residue_class(params, i), *residue_class(params, j)])
 
 
 def d_kernel(params: FamilyParams, i: int, j: int) -> FLevelChain:
@@ -267,8 +255,7 @@ def d_kernel(params: FamilyParams, i: int, j: int) -> FLevelChain:
     The chain is the truncation of the alternating ladder through f_i, f_j
     to positions <= i inside the window, padded with zeros on the left.
     """
-    _require_window_pair(params, i, j)
-    positions = [q for q in _window_positions(params, i, j) if q <= i]
+    positions = [q for q in _window_ladder(params, i, j) if q <= i]
     objects = [ZERO_OBJ] * (params.d + 1 - len(positions)) + [indec(q) for q in positions]
     objects = tuple(objects)
     return FLevelChain(params, "kernel", objects, _chain_maps(params, objects))
@@ -276,8 +263,7 @@ def d_kernel(params: FamilyParams, i: int, j: int) -> FLevelChain:
 
 def d_cokernel(params: FamilyParams, i: int, j: int) -> FLevelChain:
     """d+1 objects starting at f_j, dual to `d_kernel`."""
-    _require_window_pair(params, i, j)
-    positions = [q for q in _window_positions(params, i, j) if q >= j]
+    positions = [q for q in _window_ladder(params, i, j) if q >= j]
     objects = tuple(
         [indec(q) for q in positions] + [ZERO_OBJ] * (params.d + 1 - len(positions))
     )
@@ -286,9 +272,9 @@ def d_cokernel(params: FamilyParams, i: int, j: int) -> FLevelChain:
 
 def d_exact_seq(params: FamilyParams, i: int, j: int) -> FLevelChain:
     """The full d+2 term sequence through u(i -> j) inside the window."""
-    _require_window_pair(params, i, j)
-    positions = _window_positions(params, i, j)
-    assert len(positions) == params.d + 2  # each class meets the window (d+2)/2 times
+    positions = _window_ladder(params, i, j)
+    if len(positions) != params.d + 2:  # each class meets the window (d+2)/2 times
+        raise InternalError(f"ladder {positions} does not have d+2 terms")
     objects = tuple(indec(q) for q in positions)
     return FLevelChain(params, "exact", objects, _chain_maps(params, objects))
 

@@ -16,11 +16,13 @@ from . import linalg
 from .angles import Angle, min_angle
 from .core import (
     FamilyParams,
+    InternalError,
     Morphism,
     NotMember,
     NotWide,
     SumObject,
     ZERO_OBJ,
+    _right_factor_system,
     basis_mor,
     hom_dim,
     identity_mor,
@@ -100,7 +102,8 @@ def ar_angle_in(spec: SubcatSpec, pos: int) -> Angle:
         raise NotMember(f"vertex at position {pos} is not a member")
     fbar = pos - p.m
     w = cover(spec, fbar).source
-    assert not w.is_zero  # pos - period is a member inside the scan window
+    if w.is_zero:  # pos - period is a member inside the scan window
+        raise InternalError(f"no cover of {fbar} in spec {list(spec.indices)}")
     wpos = w.summands[0]
     if (wpos - pos) % p.l == 0:
         return _degenerate_angle(p, pos)
@@ -170,25 +173,8 @@ def is_right_minimal(xi: Morphism) -> bool:
     exactly when K sits inside the radical, which is a linear condition
     checked on a nullspace basis.
     """
-    p = xi.params
     src = xi.source
-    cells = [
-        (i, j)
-        for i, y in enumerate(src.summands)
-        for j, x in enumerate(src.summands)
-        if hom_dim(p, x, y)
-    ]
-    cell_index = {cell: n for n, cell in enumerate(cells)}
-    rows = []
-    for i, tpos in enumerate(xi.target.summands):
-        for j, spos in enumerate(src.summands):
-            if not hom_dim(p, spos, tpos):
-                continue
-            row = [Fraction(0)] * len(cells)
-            for k in range(len(src)):
-                if xi.entries[i][k] and (k, j) in cell_index:
-                    row[cell_index[(k, j)]] += xi.entries[i][k]
-            rows.append(row)
+    cells, rows, _ = _right_factor_system(xi, src)
     for vec in linalg.nullspace(rows, len(cells)):
         for (i, j), v in zip(cells, vec):
             if v and src.summands[i] == src.summands[j]:

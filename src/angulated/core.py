@@ -29,6 +29,10 @@ class DomainError(ValueError):
     """Base class for mathematically invalid requests."""
 
 
+class InternalError(RuntimeError):
+    """A construction broke an invariant it guarantees: a bug, not bad input."""
+
+
 class ConstraintViolation(DomainError):
     """Family parameters violate the defining arithmetic constraints."""
 
@@ -84,7 +88,8 @@ def validate_params(d: int, l: int, m: int) -> FamilyParams:
         )
     period = m + l - 1
     # consequence of the constraint, kept as a hard check
-    assert 2 * period == l * (d + 2)
+    if 2 * period != l * (d + 2):
+        raise InternalError(f"period {period} breaks 2*period = l*(d+2)")
     return FamilyParams(d=d, l=l, m=m, period=period)
 
 
@@ -102,6 +107,11 @@ def join_pos(params: FamilyParams, shift: int, index: int) -> int:
 
 def index_of(params: FamilyParams, pos: int) -> int:
     return (pos - 1) % params.period + 1
+
+
+def residue_class(params: FamilyParams, q: int) -> range:
+    """Window indices congruent to q mod l, in increasing order."""
+    return range((q - 1) % params.l + 1, params.period + 1, params.l)
 
 
 def pos_label(params: FamilyParams, pos: int) -> str:
@@ -318,29 +328,38 @@ def _mor_from_solution(params, src, tgt, cells, sol) -> Morphism:
     return Morphism(params, src, tgt, tuple(tuple(r) for r in ents))
 
 
-def right_factor(f: Morphism, t: Morphism) -> Morphism | None:
-    """A morphism g with f o g = t, or None when t does not factor through f."""
-    if f.params != t.params or f.target != t.target:
-        raise ShapeMismatch("right_factor needs target(f) = target(t)")
+def _right_factor_system(f: Morphism, a: SumObject):
+    """Linear system of g -> f o g over the morphisms g: a -> source(f).
+
+    Returns the unknown cells of g, one row per cell (i, j) of the
+    composite that the distance rule keeps, and those cells as row keys.
+    """
     p = f.params
-    a, b, c = t.source, f.source, f.target
-    cells = _allowed_cells(p, a, b)
+    cells = _allowed_cells(p, a, f.source)
     cell_index = {cell: n for n, cell in enumerate(cells)}
-    rows, rhs = [], []
-    for i, cpos in enumerate(c.summands):
+    rows, keys = [], []
+    for i, cpos in enumerate(f.target.summands):
         for j, apos in enumerate(a.summands):
             if not hom_dim(p, apos, cpos):
                 continue  # composite cell is killed by the distance rule
             row = [Fraction(0)] * len(cells)
-            for k in range(len(b)):
+            for k in range(len(f.source)):
                 if f.entries[i][k] and (k, j) in cell_index:
                     row[cell_index[(k, j)]] += f.entries[i][k]
             rows.append(row)
-            rhs.append(t.entries[i][j])
-    sol = linalg.solve(rows, rhs, len(cells))
+            keys.append((i, j))
+    return cells, rows, keys
+
+
+def right_factor(f: Morphism, t: Morphism) -> Morphism | None:
+    """A morphism g with f o g = t, or None when t does not factor through f."""
+    if f.params != t.params or f.target != t.target:
+        raise ShapeMismatch("right_factor needs target(f) = target(t)")
+    cells, rows, keys = _right_factor_system(f, t.source)
+    sol = linalg.solve(rows, [t.entries[i][j] for i, j in keys], len(cells))
     if sol is None:
         return None
-    return _mor_from_solution(p, a, b, cells, sol)
+    return _mor_from_solution(f.params, t.source, f.source, cells, sol)
 
 
 def left_factor(f: Morphism, t: Morphism) -> Morphism | None:

@@ -47,8 +47,6 @@ def solve(rows: Matrix, rhs: list[Fraction], nunknowns: int) -> list[Fraction] |
     """
     if len(rows) != len(rhs):
         raise ValueError("rhs length must match the number of rows")
-    if not rows:
-        return [Fraction(0)] * nunknowns
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = _echelon(aug)
     if nunknowns in pivots:
@@ -61,13 +59,6 @@ def solve(rows: Matrix, rhs: list[Fraction], nunknowns: int) -> list[Fraction] |
 
 def nullspace(rows: Matrix, nunknowns: int) -> list[list[Fraction]]:
     """Basis of the solution space of rows * x = 0."""
-    if not rows:
-        basis = []
-        for j in range(nunknowns):
-            v = [Fraction(0)] * nunknowns
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
     red, pivots = _echelon(rows)
     free = [c for c in range(nunknowns) if c not in pivots]
     basis = []

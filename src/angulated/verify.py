@@ -48,7 +48,7 @@ class Check:
     detail: str = ""
 
 
-def _iso_oracle(f: Morphism) -> bool:
+def block_iso_oracle(f: Morphism) -> bool:
     """Independent isomorphism test: equal position multisets and every
     equal-position block invertible (the strictly increasing part of the
     endomorphism algebra is nilpotent, so the diagonal blocks decide)."""
@@ -120,7 +120,7 @@ def verify_core(params: FamilyParams) -> list[Check]:
                     ents[i][j] = v
                 f = Morphism(params, src, tgt, tuple(tuple(r) for r in ents))
                 both = is_split_epi(f) and is_split_mono(f)
-                if both != is_iso(f) or is_iso(f) != _iso_oracle(f):
+                if both != is_iso(f) or is_iso(f) != block_iso_oracle(f):
                     ok = False
     checks.append(Check("split epi + split mono iff iso (brute force)", ok))
 
@@ -239,21 +239,17 @@ def verify_wide(params: FamilyParams) -> list[Check]:
     per = params.period
     enumerated = wide.enumerate_wide(params)
 
-    brute = []
+    brute, oracle_agree = [], True
     for n in range(per + 1):
         for s in combinations(range(1, per + 1), n):
             spec = wide.SubcatSpec(params, s)
-            if wide.is_wide(spec):
-                brute.append(spec)
-    agree = sorted(s.indices for s in brute) == [s.indices for s in enumerated]
-    checks.append(Check("enumeration equals the power-set filter", agree))
-
-    oracle_agree = True
-    for n in range(per + 1):
-        for s in combinations(range(1, per + 1), n):
-            spec = wide.SubcatSpec(params, s)
-            if wide.is_wide(spec) != wide.is_wide_oracle(spec):
+            ok = wide.is_wide(spec)
+            if ok:
+                brute.append(spec.indices)
+            if ok != wide.is_wide_oracle(spec):
                 oracle_agree = False
+    agree = sorted(brute) == [s.indices for s in enumerated]
+    checks.append(Check("enumeration equals the power-set filter", agree))
     checks.append(Check("classification agrees with the closure oracle", oracle_agree))
 
     round_trip = all(

@@ -11,7 +11,7 @@ under d-extensions on minimal angles.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import FamilyParams, SumObject, index_of
+from .core import FamilyParams, SumObject, index_of, residue_class
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,10 @@ class SubcatSpec:
         object.__setattr__(self, "indices", idx)
 
     def contains_pos(self, pos: int) -> bool:
-        return index_of(self.params, pos) in set(self.indices)
+        return index_of(self.params, pos) in self.indices
 
     def contains_obj(self, obj: SumObject) -> bool:
-        members = set(self.indices)
-        return all(index_of(self.params, q) in members for q in obj.summands)
+        return all(index_of(self.params, q) in self.indices for q in obj.summands)
 
 
 def full_spec(params: FamilyParams) -> SubcatSpec:
@@ -54,14 +53,8 @@ def is_semisimple_wide(spec: SubcatSpec) -> bool:
 
 def is_l_periodic(spec: SubcatSpec) -> bool:
     """S is a union of residue classes mod l inside the window."""
-    p = spec.params
     members = set(spec.indices)
-    for q in spec.indices:
-        r = q % p.l
-        for pos in range(1, p.period + 1):
-            if pos % p.l == r and pos not in members:
-                return False
-    return True
+    return all(members.issuperset(residue_class(spec.params, q)) for q in spec.indices)
 
 
 def is_wide(spec: SubcatSpec) -> bool:
@@ -117,10 +110,7 @@ def enumerate_wide(params: FamilyParams) -> list[SubcatSpec]:
             stack.append(s + (nxt,))
             nxt += 1
     # l-periodic branch: unions of the l residue classes
-    classes = [
-        tuple(q for q in range(1, params.period + 1) if q % params.l == r)
-        for r in range(params.l)
-    ]
+    classes = [residue_class(params, q) for q in range(1, params.l + 1)]
     for n in range(1, params.l + 1):
         for chosen in combinations(classes, n):
             found[tuple(sorted(q for cls in chosen for q in cls))] = None
@@ -129,11 +119,7 @@ def enumerate_wide(params: FamilyParams) -> list[SubcatSpec]:
 
 def bar(spec: SubcatSpec):
     """Membership predicate on vertex positions induced by the spec."""
-
-    def member(pos: int) -> bool:
-        return spec.contains_pos(pos)
-
-    return member
+    return spec.contains_pos
 
 
 def unbar(params: FamilyParams, pred) -> SubcatSpec:

@@ -1,6 +1,10 @@
-"""Test-side oracles, deliberately independent of the library formulas."""
+"""Test-side oracles, deliberately independent of the library formulas.
 
-from angulated import linalg
+The block-rank isomorphism oracle is shared with the verify suite and
+re-exported from there.
+"""
+
+from angulated.verify import block_iso_oracle  # noqa: F401
 
 
 def path_hom_dim(params, x, y):
@@ -21,24 +25,6 @@ def path_hom_dim(params, x, y):
         if vertex < y:
             stack.append((vertex + 1, steps + 1))
     return count
-
-
-def block_iso_oracle(mor):
-    """Isomorphism test from the Krull-Schmidt block structure.
-
-    A morphism is invertible iff source and target are the same multiset
-    of vertices and every equal-position block is invertible; entries that
-    strictly increase the position are nilpotent and cannot help.
-    """
-    if mor.source.summands != mor.target.summands:
-        return False
-    for pos in set(mor.source.summands):
-        rows = [i for i, q in enumerate(mor.target.summands) if q == pos]
-        cols = [j for j, q in enumerate(mor.source.summands) if q == pos]
-        block = [[mor.entries[i][j] for j in cols] for i in rows]
-        if linalg.rank(block) != len(rows):
-            return False
-    return True
 
 
 def angle_objects(params, a):

@@ -31,6 +31,7 @@ from angulated import (
     trivial_angle,
     zero_mor,
 )
+from angulated.core import scale
 
 from oracles import angle_objects
 
@@ -46,6 +47,7 @@ class TestTrivialAngle:
         a = trivial_angle(p449, ZERO_OBJ)
         assert all(o.is_zero for o in a.objects)
         assert check_hom_exactness(a).ok
+        assert extend(zero_mor(p449, ZERO_OBJ, ZERO_OBJ)) == a
 
     def test_on_a_sum(self, p449):
         x = SumObject((1, 2))
@@ -112,10 +114,11 @@ class TestMinAngle:
         assert check_hom_exactness(a).ok
 
     def test_distance_zero_contracts(self, p449):
-        mu = identity_mor(p449, indec(4))
-        a = min_angle(mu)
-        assert angle_objects(p449, a) == [4, 4, None, None, None, None]
-        assert check_hom_exactness(a).ok
+        for c in (Fraction(1), Fraction(-2, 3)):
+            a = min_angle(scale(identity_mor(p449, indec(4)), c))
+            assert angle_objects(p449, a) == [4, 4, None, None, None, None]
+            assert check_hom_exactness(a).ok
+            assert a == trivial_angle(p449, indec(4), c)
 
     def test_bad_distance(self, p449):
         with pytest.raises(BadDistance):

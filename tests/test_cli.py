@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -140,6 +143,18 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "overall: PASS" in out
+
+    def test_all_suites_pass_with_asserts_stripped(self):
+        # python -O drops assert statements; invariants must survive it
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "angulated.cli",
+             "--d", "2", "--l", "2", "--m", "3", "verify", "all"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ok"]
 
 
 class TestQuiverCommand:

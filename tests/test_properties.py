@@ -1,11 +1,14 @@
 """Property-based checks over randomly drawn positions and subsets."""
 
 from fractions import Fraction
+from itertools import product
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from angulated import (
+    Morphism,
     SubcatSpec,
+    SumObject,
     ar_angle,
     ar_angle_in,
     basis_mor,
@@ -16,6 +19,7 @@ from angulated import (
     hom_dim,
     is_ar_angle,
     is_cover,
+    is_right_minimal,
     is_wide,
     is_wide_oracle,
     join_pos,
@@ -28,12 +32,31 @@ from angulated import (
     theorem_b_check,
     validate_params,
 )
+from angulated.core import left_factor, right_factor
+
+from oracles import block_iso_oracle
 
 TRIPLES = [(2, 2, 3), (2, 3, 4), (4, 4, 9), (2, 4, 5), (4, 2, 5), (6, 2, 7)]
 PARAMS = [validate_params(*t) for t in TRIPLES]
 
 params_st = st.sampled_from(PARAMS)
 small_params_st = st.sampled_from(PARAMS[:3])
+factor_params_st = st.sampled_from([PARAMS[1], PARAMS[2]])
+rationals_st = st.fractions(-3, 3, max_denominator=4)
+
+
+def _draw_sum(data, p):
+    """A sum of 1-3 vertices close enough together to carry maps."""
+    positions = data.draw(st.lists(st.integers(0, 2 * p.l), min_size=1, max_size=3))
+    return SumObject(tuple(positions))
+
+
+def _draw_mor(data, p, src, tgt):
+    ents = tuple(
+        tuple(data.draw(rationals_st) if hom_dim(p, x, y) else 0 for x in src.summands)
+        for y in tgt.summands
+    )
+    return Morphism(p, src, tgt, ents)
 
 
 @given(params_st, st.integers(-10 ** 6, 10 ** 6))
@@ -130,3 +153,37 @@ def test_ambient_ar_angle_ends_at_its_vertex(p, pos):
     a = ar_angle(p, pos)
     assert a.objects[-1].summands[0] == pos
     assert ar_angle(p, pos + p.period) == shift_angle(a, 1)
+
+
+@given(factor_params_st, st.data())
+@settings(max_examples=60, deadline=None)
+def test_factor_solvers_recompose_composites(p, data):
+    a, b, c = (_draw_sum(data, p) for _ in range(3))
+    f, g = _draw_mor(data, p, b, c), _draw_mor(data, p, a, b)
+    h = right_factor(f, compose(f, g))
+    assert h is not None and compose(f, h) == compose(f, g)
+    f, g = _draw_mor(data, p, a, b), _draw_mor(data, p, b, c)
+    h = left_factor(f, compose(g, f))
+    assert h is not None and compose(h, f) == compose(g, f)
+
+
+@given(factor_params_st, st.data())
+@settings(max_examples=60, deadline=None)
+def test_right_minimal_rejects_non_invertible_fixers(p, data):
+    a, c = _draw_sum(data, p), _draw_sum(data, p)
+    xi = _draw_mor(data, p, a, c)
+    cells = [
+        (i, j)
+        for i, y in enumerate(a.summands)
+        for j, x in enumerate(a.summands)
+        if hom_dim(p, x, y)
+    ]
+    assume(len(cells) <= 6)
+    for combo in product((0, 1, -1), repeat=len(cells)):
+        ents = [[0] * len(a) for _ in range(len(a))]
+        for (i, j), v in zip(cells, combo):
+            ents[i][j] = v
+        phi = Morphism(p, a, a, tuple(map(tuple, ents)))
+        if compose(xi, phi) == xi and not block_iso_oracle(phi):
+            assert not is_right_minimal(xi)
+            return
