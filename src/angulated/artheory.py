@@ -125,9 +125,10 @@ def is_right_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
     """xi is not split epi and every non-retraction into its target factors.
 
     The target must be a member vertex.  Test morphisms are the basis
-    morphisms from member vertices in the Hom window; scalar multiples and
-    sums factor iff these do, and endomorphisms of the target are either
-    isomorphisms (excluded) or zero (factor trivially).
+    morphisms from the member vertices w != pos in the Hom window; scalar
+    multiples and sums factor iff these do, and endomorphisms of the target
+    are either isomorphisms (excluded) or zero (factor trivially).  No test
+    morphism is a retraction: Hom(pos, w) = 0 for w < pos.
     """
     tgt = xi.target
     if not tgt.is_indec:
@@ -138,16 +139,17 @@ def is_right_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
     if is_split_epi(xi):
         return False
     for w in _member_sources(spec, pos):
-        delta = basis_mor(spec.params, w, pos)
-        if is_split_epi(delta):
-            continue
-        if right_factor(xi, delta) is None:
+        if right_factor(xi, basis_mor(spec.params, w, pos)) is None:
             return False
     return True
 
 
 def is_left_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
-    """Dual test on the source: every non-section out of it extends along xi."""
+    """Dual test on the source: every non-section out of it extends along xi.
+
+    The test morphisms go to the member vertices w != pos in the Hom
+    window; none is a section, because Hom(w, pos) = 0 for w > pos.
+    """
     src = xi.source
     if not src.is_indec:
         raise NotMember("left almost split test needs a single vertex source")
@@ -157,10 +159,7 @@ def is_left_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
     if is_split_mono(xi):
         return False
     for w in _member_targets(spec, pos):
-        gamma = basis_mor(spec.params, pos, w)
-        if is_split_mono(gamma):
-            continue
-        if left_factor(xi, gamma) is None:
+        if left_factor(xi, basis_mor(spec.params, pos, w)) is None:
             return False
     return True
 

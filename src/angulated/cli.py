@@ -18,7 +18,6 @@ from . import artheory, verify, wide
 from .angles import (
     Angle,
     FLevelChain,
-    check_hom_exactness,
     d_cokernel,
     d_exact_seq,
     d_kernel,
@@ -74,10 +73,6 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def params_doc(params: FamilyParams) -> dict:
     return {"d": params.d, "l": params.l, "m": params.m, "period": params.period}
 
@@ -117,7 +112,7 @@ def doc_to_angle(doc: dict) -> Angle:
     targets = objects[1:] + [shift_obj(p, objects[0], 1)]
     maps = []
     for k, mdoc in enumerate(doc["maps"]):
-        ents = tuple(tuple(parse_frac(e) for e in row) for row in mdoc["entries"])
+        ents = tuple(tuple(Fraction(e) for e in row) for row in mdoc["entries"])
         maps.append(Morphism(p, objects[k], targets[k], ents))
     return Angle(p, tuple(objects), tuple(maps))
 
@@ -189,7 +184,7 @@ def _read_config(path: str) -> dict:
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
     for key in out:
-        if key not in {"d", "l", "m", "format", "sub"}:
+        if key not in {"d", "l", "m", "format"}:
             raise UsageError(f"unknown config key {key!r}")
     return out
 

@@ -75,28 +75,21 @@ def verify_core(params: FamilyParams) -> list[Check]:
     )
     checks.append(Check("hom shift equivariance", ok))
 
-    ok = True
+    assoc_ok = rad_ok = True
     for a in range(1, per + 1):
         for b in range(a, a + l):
+            f = basis_mor(params, a, b)
             for c in range(b, b + l):
-                f = basis_mor(params, a, b)
                 g = basis_mor(params, b, c)
+                gf = compose(g, f)
+                if (is_radical(f) or is_radical(g)) and not is_radical(gf):
+                    rad_ok = False
                 for e in range(c, c + l):
                     h = basis_mor(params, c, e)
-                    if compose(h, compose(g, f)) != compose(compose(h, g), f):
-                        ok = False
-    checks.append(Check("composition associativity over a window", ok))
-
-    ok = True
-    for a in range(1, per + 1):
-        for b in range(a, a + l):
-            for c in range(b, b + l):
-                f = basis_mor(params, a, b)
-                g = basis_mor(params, b, c)
-                if is_radical(f) or is_radical(g):
-                    if not is_radical(compose(g, f)):
-                        ok = False
-    checks.append(Check("radical is an ideal on basis pairs", ok))
+                    if compose(h, gf) != compose(compose(h, g), f):
+                        assoc_ok = False
+    checks.append(Check("composition associativity over a window", assoc_ok))
+    checks.append(Check("radical is an ideal on basis pairs", rad_ok))
 
     objs = [indec(q) for q in range(1, l + 1)]
     objs += [
@@ -119,8 +112,7 @@ def verify_core(params: FamilyParams) -> list[Check]:
                 for (i, j), v in zip(cells, combo):
                     ents[i][j] = v
                 f = Morphism(params, src, tgt, tuple(tuple(r) for r in ents))
-                both = is_split_epi(f) and is_split_mono(f)
-                if both != is_iso(f) or is_iso(f) != block_iso_oracle(f):
+                if (is_split_epi(f) and is_split_mono(f)) != block_iso_oracle(f):
                     ok = False
     checks.append(Check("split epi + split mono iff iso (brute force)", ok))
 
@@ -158,22 +150,21 @@ def verify_angles(params: FamilyParams) -> list[Check]:
             b = a
             for _ in range(d + 2):
                 b = rotate_left(b)
-            if b != shift_angle(a, 1):
+            shifted = shift_angle(a, 1)
+            if b != shifted:
                 rot_ok = False
-            if min_angle(shift_mor(mu, 1)) != shift_angle(a, 1):
+            if min_angle(shift_mor(mu, 1)) != shifted:
                 min_ok = False
             j = i + delta
             if j <= per:
-                if not check_d_exact(d_exact_seq(params, i, j)):
+                seq = d_exact_seq(params, i, j)
+                if not check_d_exact(seq):
                     chain_ok = False
                 if not check_d_kernel(d_kernel(params, i, j), mu):
                     chain_ok = False
                 if not check_d_cokernel(d_cokernel(params, i, j), mu):
                     chain_ok = False
-                nterms = sum(
-                    1 for o in d_exact_seq(params, i, j).objects if not o.is_zero
-                )
-                if nterms != d + 2:
+                if sum(1 for o in seq.objects if not o.is_zero) != d + 2:
                     chain_ok = False
     checks.append(Check("minimal angles: shape, radical middles, equivariance", min_ok))
     checks.append(Check("minimal angles pass the Hom exactness oracle", exact_ok))
@@ -205,20 +196,15 @@ def verify_ar(params: FamilyParams) -> list[Check]:
     sub_ok = cov_ok = thb_ok = socle_ok = True
     for spec in wide.enumerate_wide(params):
         for pos in spec.indices:
-            sub = artheory.ar_angle_in(spec, pos)
-            if not artheory.is_ar_angle(spec, sub):
-                sub_ok = False
-            if sub.connecting.is_zero:
+            report = artheory.theorem_b_check(spec, pos)
+            sub, cov = report.sub_angle, report.cover_result
+            if not report.sub_is_ar or sub.connecting.is_zero:
                 sub_ok = False
             if artheory.ar_angle_in(spec, pos + per) != shift_angle(sub, 1):
                 sub_ok = False
-            report = artheory.theorem_b_check(spec, pos)
             if not report.ok:
                 thb_ok = False
-            cov = report.cover_result
-            if len(cov.source) > 1:
-                cov_ok = False
-            if not artheory.is_cover(spec, cov.mor):
+            if len(cov.source) > 1 or not report.cover_is_cover:
                 cov_ok = False
             # connecting map spans the one-dimensional Hom into the shifted head
             head = sub.objects[0].summands[0]

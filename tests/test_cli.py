@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from angulated import ar_angle, basis_mor, min_angle, validate_params
+from angulated import ar_angle, basis_mor, min_angle
 from angulated.cli import angle_doc, doc_to_angle, main, parse_object
 
 
@@ -240,10 +240,13 @@ class TestConfigFile:
         assert json.loads(out)["period"] == 4
 
     def test_unknown_key_exit_two(self, capsys, tmp_path):
+        # `sub` is not a config key: a config file cannot pick a subcategory
         cfg = tmp_path / "family.cfg"
-        cfg.write_text("d=4\nbogus=1\n")
-        code, _, _ = run(capsys, "--config", str(cfg), "params")
-        assert code == 2
+        for extra in ("bogus=1", "sub=1,5,9"):
+            cfg.write_text(f"d=4\nl=4\nm=9\n{extra}\n")
+            code, _, err = run(capsys, "--config", str(cfg), "ar", "f5")
+            assert code == 2
+            assert "unknown config key" in err
 
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, "--config", str(tmp_path / "nope.cfg"), "params")

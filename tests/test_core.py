@@ -205,11 +205,13 @@ class TestSplitAndIso:
         assert is_split_epi(i) and is_split_mono(i) and is_iso(i)
 
     def test_basis_all_false(self, p449):
-        # Hom(f2, f1) = 0, so the candidate space for a section is empty
-        u = basis_mor(p449, 1, 2)
-        assert not is_split_epi(u)
-        assert not is_split_mono(u)
-        assert not is_iso(u)
+        # Hom(f1+k, f1) = 0 at every distance k, so the candidate space for a
+        # section or a retraction of a basis morphism is empty
+        for k in range(1, p449.l):
+            u = basis_mor(p449, 1, 1 + k)
+            assert not is_split_epi(u)
+            assert not is_split_mono(u)
+            assert not is_iso(u)
 
     def test_projection_split_epi_not_iso(self, p449):
         src = SumObject((1, 2))
