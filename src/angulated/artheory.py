@@ -70,7 +70,12 @@ def cover(spec: SubcatSpec, pos: int) -> CoverResult:
 
 
 def _degenerate_angle(params: FamilyParams, pos: int) -> Angle:
-    """shift(x, -1) -> 0 -> ... -> 0 -> x with identity connecting map."""
+    """shift(x, -1) -> 0 -> ... -> 0 -> x with identity connecting map.
+
+    This is rotate_left(trivial_angle(params, indec(pos - period))), built
+    directly because the rotation validates a second angle of d + 2 maps,
+    which costs the most at large d, where this case is most frequent.
+    """
     n = params.d + 2
     head = indec(pos - params.period)
     tail = indec(pos)

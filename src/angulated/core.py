@@ -21,8 +21,12 @@ rule plus exact linear algebra over the rationals.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from . import linalg
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class DomainError(ValueError):
@@ -153,13 +157,37 @@ def hom_dim(params: FamilyParams, x: int, y: int) -> int:
     return 1 if 0 <= y - x <= params.l - 1 else 0
 
 
+def _exact(e, where: str) -> Fraction:
+    """`e` as a Fraction; anything but an exact rational raises TypeError."""
+    if not isinstance(e, Rational):
+        raise TypeError(f"{where} must be an int or a Fraction, got {e!r}")
+    return Fraction(e)
+
+
+def _is_fraction_matrix(ents) -> bool:
+    """Whether `ents` is already a tuple of tuples of Fraction."""
+    if type(ents) is not tuple:
+        return False
+    for row in ents:
+        if type(row) is not tuple:
+            return False
+        for e in row:
+            if type(e) is not Fraction:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class Morphism:
     """Rational matrix between two sum objects, rows indexed by the target.
 
     Entry (i, j) is the coefficient of the basis morphism from source
     summand j to target summand i; it must vanish whenever that Hom space
-    does (support rule).
+    does (support rule).  Entries must be exact rationals: `int` or
+    `Fraction` (any `numbers.Rational`), in any sequence of sequences.
+    They are stored as a tuple of tuples of `Fraction`; a matrix already
+    in that form is kept as it is, anything else is converted, and a
+    float, `Decimal` or string entry raises TypeError naming its cell.
     """
 
     params: FamilyParams
@@ -168,17 +196,23 @@ class Morphism:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows, cols = len(self.target), len(self.source)
-        if len(self.entries) != rows or any(len(r) != cols for r in self.entries):
-            raise ShapeMismatch(f"entry matrix must be {rows} x {cols}")
-        ents = tuple(tuple(Fraction(e) for e in row) for row in self.entries)
-        for i, y in enumerate(self.target.summands):
-            for j, x in enumerate(self.source.summands):
-                if ents[i][j] != 0 and not hom_dim(self.params, x, y):
-                    raise ShapeMismatch(
-                        f"entry ({i}, {j}) nonzero but Hom({x} -> {y}) = 0"
-                    )
-        object.__setattr__(self, "entries", ents)
+        src, tgt = self.source.summands, self.target.summands
+        ents = self.entries
+        ncols = len(src)
+        if len(ents) != len(tgt) or any(len(r) != ncols for r in ents):
+            raise ShapeMismatch(f"entry matrix must be {len(tgt)} x {ncols}")
+        if not _is_fraction_matrix(ents):
+            ents = tuple(
+                tuple(_exact(e, f"entry ({i}, {j})") for j, e in enumerate(row))
+                for i, row in enumerate(ents)
+            )
+            object.__setattr__(self, "entries", ents)
+        # support rule, tested on the nonzero cells only
+        lmax = self.params.l - 1
+        for i, (y, row) in enumerate(zip(tgt, ents)):
+            for j, (x, e) in enumerate(zip(src, row)):
+                if e and not 0 <= y - x <= lmax:
+                    raise ShapeMismatch(f"entry ({i}, {j}) nonzero but Hom({x} -> {y}) = 0")
 
     @property
     def is_zero(self) -> bool:
@@ -186,15 +220,13 @@ class Morphism:
 
 
 def zero_mor(params: FamilyParams, source: SumObject, target: SumObject) -> Morphism:
-    ents = tuple((Fraction(0),) * len(source) for _ in range(len(target)))
+    ents = ((_ZERO,) * len(source),) * len(target)
     return Morphism(params, source, target, ents)
 
 
 def identity_mor(params: FamilyParams, obj: SumObject) -> Morphism:
     n = len(obj)
-    ents = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    ents = tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
     return Morphism(params, obj, obj, ents)
 
 
@@ -205,11 +237,12 @@ def basis_mor(params: FamilyParams, x: int, y: int) -> Morphism:
             f"Hom({pos_label(params, x)} -> {pos_label(params, y)}) = 0 "
             f"(distance {y - x} outside [0, {params.l - 1}])"
         )
-    return Morphism(params, indec(x), indec(y), ((Fraction(1),),))
+    return Morphism(params, indec(x), indec(y), ((_ONE,),))
 
 
 def scale(mor: Morphism, c) -> Morphism:
-    c = Fraction(c)
+    """c * mor for an exact rational c (int or Fraction); TypeError otherwise."""
+    c = _exact(c, "scalar")
     ents = tuple(tuple(c * e for e in row) for row in mor.entries)
     return Morphism(mor.params, mor.source, mor.target, ents)
 
@@ -228,29 +261,44 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 
     The product of two basis morphisms survives exactly when the total
     distance stays below l, so the matrix product is masked by the support
-    rule of the composite.
+    rule of the composite; only nonzero products are summed.
     """
     if f.params != g.params:
         raise ShapeMismatch("morphisms live over different parameters")
     if f.target != g.source:
         raise ShapeMismatch("compose needs target(f) = source(g)")
-    p = f.params
-    mids = len(g.source)
+    lmax = f.params.l - 1
+    fents = f.entries
     ents = []
-    for i, z in enumerate(g.target.summands):
+    for z, grow in zip(g.target.summands, g.entries):
         row = []
         for j, x in enumerate(f.source.summands):
-            if hom_dim(p, x, z):
-                row.append(
-                    sum(
-                        (g.entries[i][k] * f.entries[k][j] for k in range(mids)),
-                        Fraction(0),
-                    )
-                )
+            if 0 <= z - x <= lmax:
+                row.append(sum(
+                    (gk * frow[j] for gk, frow in zip(grow, fents) if gk and frow[j]),
+                    _ZERO,
+                ))
             else:
-                row.append(Fraction(0))
+                row.append(_ZERO)
         ents.append(tuple(row))
-    return Morphism(p, f.source, g.target, tuple(ents))
+    return Morphism(f.params, f.source, g.target, tuple(ents))
+
+
+def _composite_vanishes(g: Morphism, f: Morphism, offset: int = 0) -> bool:
+    """`compose(g, f).is_zero` without building the composite.
+
+    A nonzero `offset`, a multiple of the period, reads f as its translate
+    `shift_mor(f, offset // period)`.  Shapes are the caller's to check.
+    """
+    lo, hi = offset, offset + f.params.l - 1
+    fents = f.entries
+    for z, grow in zip(g.target.summands, g.entries):
+        for j, x in enumerate(f.source.summands):
+            if lo <= z - x <= hi and sum(
+                gk * frow[j] for gk, frow in zip(grow, fents) if gk and frow[j]
+            ):
+                return False
+    return True
 
 
 def shift_obj(params: FamilyParams, obj: SumObject, r: int) -> SumObject:
@@ -293,7 +341,7 @@ def direct_sum_mor(a: Morphism, b: Morphism) -> Morphism:
             elif tside == sside == 1:
                 row.append(b.entries[ti][sj])
             else:
-                row.append(Fraction(0))
+                row.append(_ZERO)
         ents.append(tuple(row))
     return Morphism(p, src, tgt, tuple(ents))
 
@@ -322,7 +370,7 @@ def _allowed_cells(params, src: SumObject, tgt: SumObject) -> list[tuple[int, in
 
 
 def _mor_from_solution(params, src, tgt, cells, sol) -> Morphism:
-    ents = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
+    ents = [[_ZERO] * len(src) for _ in range(len(tgt))]
     for (i, j), v in zip(cells, sol):
         ents[i][j] = v
     return Morphism(params, src, tgt, tuple(tuple(r) for r in ents))
@@ -342,10 +390,10 @@ def _right_factor_system(f: Morphism, a: SumObject):
         for j, apos in enumerate(a.summands):
             if not hom_dim(p, apos, cpos):
                 continue  # composite cell is killed by the distance rule
-            row = [Fraction(0)] * len(cells)
-            for k in range(len(f.source)):
+            row = [_ZERO] * len(cells)
+            for k in range(len(f.source)):  # distinct cells (k, j): no sums
                 if f.entries[i][k] and (k, j) in cell_index:
-                    row[cell_index[(k, j)]] += f.entries[i][k]
+                    row[cell_index[(k, j)]] = f.entries[i][k]
             rows.append(row)
             keys.append((i, j))
     return cells, rows, keys
@@ -375,10 +423,10 @@ def left_factor(f: Morphism, t: Morphism) -> Morphism | None:
         for j, apos in enumerate(a.summands):
             if not hom_dim(p, apos, cpos):
                 continue
-            row = [Fraction(0)] * len(cells)
-            for k in range(len(b)):
+            row = [_ZERO] * len(cells)
+            for k in range(len(b)):  # distinct cells (i, k): no sums
                 if f.entries[k][j] and (i, k) in cell_index:
-                    row[cell_index[(i, k)]] += f.entries[k][j]
+                    row[cell_index[(i, k)]] = f.entries[k][j]
             rows.append(row)
             rhs.append(t.entries[i][j])
     sol = linalg.solve(rows, rhs, len(cells))

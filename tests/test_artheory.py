@@ -28,6 +28,7 @@ from angulated import (
     is_right_almost_split,
     is_right_minimal,
     join_pos,
+    rotate_left,
     shift_angle,
     theorem_b_check,
     trivial_angle,
@@ -129,6 +130,7 @@ class TestArAngleIn:
         assert angle_objects(p449, a) == [-7, None, None, None, None, 5]
         assert a.connecting == identity_mor(p449, indec(5))
         assert all(m.is_zero for m in a.maps[:-1])
+        assert a == rotate_left(trivial_angle(p449, indec(5 - p449.period)))
 
     def test_full_spec_gives_ambient(self, p449):
         for pos in range(1, p449.period + 1):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -276,6 +277,54 @@ class TestMorphismValidation:
     def test_shape_enforced(self, p449):
         with pytest.raises(ShapeMismatch):
             Morphism(p449, indec(1), indec(2), ((Fraction(1), Fraction(0)),))
+
+    def test_int_and_list_entries_normalise(self, p449):
+        src, tgt = SumObject((1, 2)), SumObject((2, 3))
+        want = Morphism(
+            p449, src, tgt,
+            ((Fraction(1), Fraction(0)), (Fraction(-2), Fraction(1, 3))),
+        )
+        for ents in (
+            ((1, 0), (-2, Fraction(1, 3))),
+            [[1, 0], [-2, Fraction(1, 3)]],
+            [(Fraction(1), Fraction(0)), (Fraction(-2), Fraction(1, 3))],
+        ):
+            got = Morphism(p449, src, tgt, ents)
+            assert got == want and hash(got) == hash(want)
+            assert type(got.entries) is tuple
+            assert all(
+                type(row) is tuple and all(type(e) is Fraction for e in row)
+                for row in got.entries
+            )
+
+    def test_support_rule_on_both_paths(self, p449):
+        # Fraction tuples are kept as given; ints and lists are converted
+        pair = SumObject((5, 1))  # sorted to (1, 5); Hom(1 -> 5) = 0
+        for src, ents, cell in (
+            (indec(1), ((Fraction(1),),), "(0, 0)"),
+            (indec(1), ((1,),), "(0, 0)"),
+            (indec(1), [[1]], "(0, 0)"),
+            (pair, ((Fraction(0), Fraction(1)),), None),
+            (pair, ((Fraction(1), Fraction(1)),), "(0, 0)"),
+            (pair, ((2, 0),), "(0, 0)"),
+        ):
+            if cell is None:
+                Morphism(p449, src, indec(5), ents)  # only the allowed cell is set
+                continue
+            with pytest.raises(ShapeMismatch, match=re.escape(f"entry {cell}")):
+                Morphism(p449, src, indec(5), ents)
+
+    def test_inexact_entries_rejected(self, p449):
+        from decimal import Decimal
+
+        from angulated.core import scale
+
+        for bad in (0.1, 1.0, Decimal("0.1"), "1/2"):
+            with pytest.raises(TypeError, match=r"entry \(0, 1\)"):
+                Morphism(p449, SumObject((1, 2)), indec(2), ((Fraction(1), bad),))
+            with pytest.raises(TypeError, match="scalar"):
+                scale(basis_mor(p449, 1, 2), bad)
+        assert scale(basis_mor(p449, 1, 2), 3).entries == ((Fraction(3),),)
 
     def test_zero_morphisms_exist_everywhere(self, p449):
         f = zero_mor(p449, indec(5), indec(1))
