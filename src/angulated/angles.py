@@ -24,8 +24,8 @@ from .core import (
     ShapeMismatch,
     SumObject,
     ZERO_OBJ,
-    _composite_vanishes,
     basis_mor,
+    compose,
     direct_sum_mor,
     direct_sum_obj,
     hom_dim,
@@ -37,7 +37,6 @@ from .core import (
     shift_obj,
     zero_mor,
 )
-from .core import compose  # noqa: F401  kept importable as angulated.angles.compose
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,7 @@ class Angle:
 
     maps[k] goes objects[k] -> objects[k+1] for k <= d and the connecting
     map maps[d+1] goes objects[d+1] -> shift(objects[0], 1).  Consecutive
-    composites vanish, including around the wrap; they are checked on
-    their entry matrices, without building the composite morphisms.
+    composites vanish, including around the wrap.
     """
 
     params: FamilyParams
@@ -66,10 +64,9 @@ class Angle:
             if mor.source != self.objects[k] or mor.target != targets[k]:
                 raise ShapeMismatch(f"map {k} does not match the object chain")
         for k in range(n - 1):
-            if not _composite_vanishes(self.maps[k + 1], self.maps[k]):
+            if not compose(self.maps[k + 1], self.maps[k]).is_zero:
                 raise ValueError(f"consecutive maps {k}, {k + 1} do not compose to zero")
-        # maps[0] after shift(maps[-1], -1), read off the unshifted connector
-        if not _composite_vanishes(self.maps[0], self.maps[-1], -p.period):
+        if not compose(self.maps[0], shift_mor(self.maps[-1], -1)).is_zero:
             raise ValueError("wrap-around composite is nonzero")
 
     @property

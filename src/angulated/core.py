@@ -164,16 +164,27 @@ def _exact(e, where: str) -> Fraction:
     return Fraction(e)
 
 
-def _is_fraction_matrix(ents) -> bool:
-    """Whether `ents` is already a tuple of tuples of Fraction."""
+def _check_cells(params, src, tgt, ents) -> bool:
+    """Check row lengths and the support rule on the nonzero cells.
+
+    Raises ShapeMismatch at a row of the wrong length or at a nonzero cell
+    whose Hom space vanishes.  Returns False, with the scan unfinished, at
+    the first row that is not a tuple or cell that is not a Fraction: such
+    a matrix is converted and scanned again.
+    """
     if type(ents) is not tuple:
         return False
-    for row in ents:
+    ncols, lmax = len(src), params.l - 1
+    for i, (y, row) in enumerate(zip(tgt, ents)):
         if type(row) is not tuple:
             return False
-        for e in row:
+        if len(row) != ncols:
+            raise ShapeMismatch(f"entry matrix must be {len(tgt)} x {ncols}")
+        for j, (x, e) in enumerate(zip(src, row)):
             if type(e) is not Fraction:
                 return False
+            if e and not 0 <= y - x <= lmax:
+                raise ShapeMismatch(f"entry ({i}, {j}) nonzero but Hom({x} -> {y}) = 0")
     return True
 
 
@@ -198,21 +209,15 @@ class Morphism:
     def __post_init__(self):
         src, tgt = self.source.summands, self.target.summands
         ents = self.entries
-        ncols = len(src)
-        if len(ents) != len(tgt) or any(len(r) != ncols for r in ents):
-            raise ShapeMismatch(f"entry matrix must be {len(tgt)} x {ncols}")
-        if not _is_fraction_matrix(ents):
+        if len(ents) != len(tgt):
+            raise ShapeMismatch(f"entry matrix must be {len(tgt)} x {len(src)}")
+        if not _check_cells(self.params, src, tgt, ents):
             ents = tuple(
                 tuple(_exact(e, f"entry ({i}, {j})") for j, e in enumerate(row))
                 for i, row in enumerate(ents)
             )
             object.__setattr__(self, "entries", ents)
-        # support rule, tested on the nonzero cells only
-        lmax = self.params.l - 1
-        for i, (y, row) in enumerate(zip(tgt, ents)):
-            for j, (x, e) in enumerate(zip(src, row)):
-                if e and not 0 <= y - x <= lmax:
-                    raise ShapeMismatch(f"entry ({i}, {j}) nonzero but Hom({x} -> {y}) = 0")
+            _check_cells(self.params, src, tgt, ents)
 
     @property
     def is_zero(self) -> bool:
@@ -282,23 +287,6 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
                 row.append(_ZERO)
         ents.append(tuple(row))
     return Morphism(f.params, f.source, g.target, tuple(ents))
-
-
-def _composite_vanishes(g: Morphism, f: Morphism, offset: int = 0) -> bool:
-    """`compose(g, f).is_zero` without building the composite.
-
-    A nonzero `offset`, a multiple of the period, reads f as its translate
-    `shift_mor(f, offset // period)`.  Shapes are the caller's to check.
-    """
-    lo, hi = offset, offset + f.params.l - 1
-    fents = f.entries
-    for z, grow in zip(g.target.summands, g.entries):
-        for j, x in enumerate(f.source.summands):
-            if lo <= z - x <= hi and sum(
-                gk * frow[j] for gk, frow in zip(grow, fents) if gk and frow[j]
-            ):
-                return False
-    return True
 
 
 def shift_obj(params: FamilyParams, obj: SumObject, r: int) -> SumObject:

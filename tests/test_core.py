@@ -277,6 +277,19 @@ class TestMorphismValidation:
     def test_shape_enforced(self, p449):
         with pytest.raises(ShapeMismatch):
             Morphism(p449, indec(1), indec(2), ((Fraction(1), Fraction(0)),))
+        # a short or long row anywhere raises, whether the rows are kept or converted
+        src, tgt = SumObject((1, 2)), SumObject((2, 3))
+        one, zero = Fraction(1), Fraction(0)
+        for ents in (
+            ((one, zero),),
+            ((one, zero), (one,)),
+            ((one, zero), (one, zero, zero)),
+            ((1, 0), (1,)),
+            [[1, 0], [1, 0, 0]],
+            ((one, zero), [1]),
+        ):
+            with pytest.raises(ShapeMismatch, match="2 x 2"):
+                Morphism(p449, src, tgt, ents)
 
     def test_int_and_list_entries_normalise(self, p449):
         src, tgt = SumObject((1, 2)), SumObject((2, 3))

@@ -28,12 +28,11 @@ from angulated import (
     rotate_right,
     shift_angle,
     shift_mor,
-    shift_obj,
     split_pos,
     theorem_b_check,
     validate_params,
 )
-from angulated.core import _composite_vanishes, left_factor, right_factor
+from angulated.core import left_factor, right_factor
 
 from oracles import block_iso_oracle
 
@@ -61,8 +60,8 @@ def _draw_mor(data, p, src, tgt):
 
 
 @settings(deadline=None)
-@given(small_params_st, st.integers(-1, 1), st.data())
-def test_compose_is_the_masked_matrix_product(p, r, data):
+@given(small_params_st, st.data())
+def test_compose_is_the_masked_matrix_product(p, data):
     a, b, c = (_draw_sum(data, p) for _ in range(3))
     f, g = _draw_mor(data, p, a, b), _draw_mor(data, p, b, c)
     want = tuple(
@@ -74,10 +73,6 @@ def test_compose_is_the_masked_matrix_product(p, r, data):
         for i, z in enumerate(c.summands)
     )
     assert compose(g, f).entries == want
-    assert _composite_vanishes(g, f) == all(e == 0 for row in want for e in row)
-    # the offset read of f (Angle's wrap-around check) is composing with its translate
-    h = _draw_mor(data, p, shift_obj(p, b, r), shift_obj(p, c, r))
-    assert _composite_vanishes(h, f, r * p.period) == compose(h, shift_mor(f, r)).is_zero
 
 
 @given(params_st, st.integers(-10 ** 6, 10 ** 6))
