@@ -9,7 +9,13 @@ d+1 gaps alternate between D and l - D and the total span is m - 1 + D.
 The oracle `check_hom_exactness` never looks at how an angle was built: it
 applies every covariant Hom functor from a window of test vertices to the
 angle extended by one period on each side and verifies exactness of the
-resulting rational complexes by rank counting.
+resulting rational complexes by rank counting.  The d-kernel, d-cokernel
+and d-exact tests apply the covariant functors Hom(t, -), the
+contravariant functors Hom(-, t), or both.  One kernel serves all of
+them: a functor is the window of positions it keeps, [t, t+l-1] for
+Hom(t, -) and [t-l+1, t] for Hom(-, t).  Hom(-, t) reverses the chain and
+transposes its matrices, which changes no rank and no vanishing of a
+composite, so its exactness is tested in chain order too.
 """
 
 from dataclasses import dataclass
@@ -28,7 +34,6 @@ from .core import (
     compose,
     direct_sum_mor,
     direct_sum_obj,
-    hom_dim,
     indec,
     identity_mor,
     residue_class,
@@ -283,65 +288,37 @@ def d_exact_seq(params: FamilyParams, i: int, j: int) -> FLevelChain:
 # Exactness oracles
 # ---------------------------------------------------------------------------
 
-def _hom_from_dims(params, t: int, obj: SumObject) -> list[int]:
-    """Indices of summands of obj receiving a nonzero map from vertex t."""
-    return [k for k, pos in enumerate(obj.summands) if hom_dim(params, t, pos)]
+def _inexact_slots(objects, entries, lo: int, hi: int, slots) -> list[int]:
+    """Slots among `slots` where a Hom functor leaves the chain inexact.
 
-
-def _hom_into_dims(params, t: int, obj: SumObject) -> list[int]:
-    return [k for k, pos in enumerate(obj.summands) if hom_dim(params, pos, t)]
-
-
-def hom_matrix_from(t: int, mor: Morphism) -> list[list[Fraction]]:
-    """Matrix of Hom(t, -) applied to mor, over the canonical hom bases."""
-    p = mor.params
-    src = _hom_from_dims(p, t, mor.source)
-    tgt = _hom_from_dims(p, t, mor.target)
-    return [[mor.entries[i][j] for j in src] for i in tgt]
-
-
-def hom_matrix_into(t: int, mor: Morphism) -> list[list[Fraction]]:
-    """Matrix of Hom(-, t) applied to mor (source and target swap roles)."""
-    p = mor.params
-    cols = _hom_into_dims(p, t, mor.target)
-    rows = _hom_into_dims(p, t, mor.source)
-    return [[mor.entries[i][j] for i in cols] for j in rows]
-
-
-def _exact_slots(dims: list[int], mats: list[list[list[Fraction]]], slots) -> list[int]:
-    """Slots among `slots` where the complex fails to be exact.
-
-    mats[k] maps space k to space k+1; exactness at slot s means the
-    incoming image fills the kernel of the outgoing map, checked as
-    rank(in) + rank(out) = dim together with out o in = 0.
+    entries[k] is the matrix of the map objects[k] -> objects[k+1].  The
+    functor is given by the window [lo, hi] of positions it does not kill:
+    Hom(t, -) keeps [t, t+l-1] and Hom(-, t) keeps [t-l+1, t].  It sends a
+    map to its entry matrix cut down to the summands in the window, and
+    Hom(-, t) also transposes it and reverses the chain.  Transposing keeps
+    every rank, and a product vanishes exactly when its transpose does, so
+    both functors take the same test at each slot s, in chain order:
+    rank(in) + rank(out) = dim together with out o in = 0.  A slot whose
+    window space is zero is exact; each nonempty cut-down map is ranked once.
     """
-    bad = []
-    for s in slots:
-        in_rank = linalg.rank(mats[s - 1]) if s >= 1 else 0
-        out_rank = linalg.rank(mats[s]) if s < len(mats) else 0
-        ok = in_rank + out_rank == dims[s]
-        if ok and 0 < s < len(mats) and dims[s]:
-            prod = linalg.mat_mul(mats[s], mats[s - 1], dims[s - 1])
-            ok = linalg.is_zero(prod)
-        if not ok:
-            bad.append(s)
-    return bad
-
-
-def _check_from_side(params, objects, maps, t, slots) -> list[int]:
-    dims = [len(_hom_from_dims(params, t, o)) for o in objects]
-    mats = [hom_matrix_from(t, m) for m in maps]
-    return _exact_slots(dims, mats, slots)
-
-
-def _check_into_side(params, objects, maps, t, slots) -> list[int]:
-    # Hom(-, t) reverses the chain; slot s of the original corresponds to
-    # slot n-1-s of the reversed complex.
-    n = len(objects)
-    dims = [len(_hom_into_dims(params, t, o)) for o in reversed(objects)]
-    mats = [hom_matrix_into(t, m) for m in reversed(maps)]
-    bad = _exact_slots(dims, mats, [n - 1 - s for s in slots])
-    return [n - 1 - s for s in bad]
+    keep = [[k for k, q in enumerate(o.summands) if lo <= q <= hi] for o in objects]
+    # cuts[s] is the map into slot s and cuts[s + 1] the map out of it
+    cuts = [
+        None,
+        *([[e[i][j] for j in src] for i in tgt] if src and tgt else None
+          for e, src, tgt in zip(entries, keep, keep[1:])),
+        None,
+    ]
+    ranks = [linalg.rank(c) if c else 0 for c in cuts]
+    return [
+        s for s in slots
+        if keep[s] and (
+            ranks[s] + ranks[s + 1] != len(keep[s])
+            or cuts[s] and cuts[s + 1] and not linalg.is_zero(
+                linalg.mat_mul(cuts[s + 1], cuts[s], len(keep[s - 1]))
+            )
+        )
+    ]
 
 
 def check_d_kernel(chain: FLevelChain, mu: Morphism) -> bool:
@@ -350,10 +327,10 @@ def check_d_kernel(chain: FLevelChain, mu: Morphism) -> bool:
     if chain.objects[-1] != mu.source:
         raise ShapeMismatch("chain must end at the source of mu")
     objects = chain.objects + (mu.target,)
-    maps = list(chain.maps) + [mu]
+    entries = [m.entries for m in chain.maps] + [mu.entries]
     slots = range(len(chain.objects))
     return all(
-        not _check_from_side(p, objects, maps, t, slots)
+        not _inexact_slots(objects, entries, t, t + p.l - 1, slots)
         for t in range(1, p.period + 1)
     )
 
@@ -364,25 +341,24 @@ def check_d_cokernel(chain: FLevelChain, mu: Morphism) -> bool:
     if chain.objects[0] != mu.target:
         raise ShapeMismatch("chain must start at the target of mu")
     objects = (mu.source,) + chain.objects
-    maps = [mu] + list(chain.maps)
+    entries = [mu.entries] + [m.entries for m in chain.maps]
     slots = range(1, len(objects))
     return all(
-        not _check_into_side(p, objects, maps, t, slots)
+        not _inexact_slots(objects, entries, t - p.l + 1, t, slots)
         for t in range(1, p.period + 1)
     )
 
 
 def check_d_exact(chain: FLevelChain) -> bool:
     """Both functor tests on a full d+2 term sequence."""
-    p = chain.params
-    objects, maps = chain.objects, list(chain.maps)
+    p, objects = chain.params, chain.objects
+    entries = [m.entries for m in chain.maps]
     n = len(objects)
-    for t in range(1, p.period + 1):
-        if _check_from_side(p, objects, maps, t, range(n - 1)):
-            return False
-        if _check_into_side(p, objects, maps, t, range(1, n)):
-            return False
-    return True
+    return all(
+        not _inexact_slots(objects, entries, t, t + p.l - 1, range(n - 1))
+        and not _inexact_slots(objects, entries, t - p.l + 1, t, range(1, n))
+        for t in range(1, p.period + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -396,36 +372,28 @@ class ExactnessReport:
 def check_hom_exactness(a: Angle) -> ExactnessReport:
     """Brute-force exactness of every induced Hom sequence across the angle.
 
-    The angle is extended by one period on each side (objects and maps are
-    translated copies, glued by the translated connecting maps) and every
-    covariant Hom functor from a test vertex is applied.  Hom spaces vanish
-    beyond distance l - 1, so test vertices ranging over
-    [min position - period - l + 1, max position + period] see every
-    nonzero entry of the infinite sequence; exactness is checked at each
-    interior slot of the extended complex.
+    The angle is extended by one period on each side: its objects shifted
+    by -1, 0 and +1 periods, glued by its own entry matrices (a shift
+    leaves entries unchanged), so no shifted Morphism is built.  Every
+    covariant Hom functor from a test vertex t, the window [t, t+l-1], is
+    applied.  Hom spaces vanish beyond distance l - 1, so test vertices
+    ranging over [min position - period - l + 1, max position + period]
+    see every nonzero entry of the infinite sequence; exactness is checked
+    at each interior slot of the extended complex.  The contravariant
+    functors would be the windows [t-l+1, t] through the same kernel.
     """
     p = a.params
     positions = [q for o in a.objects for q in o.summands]
     if not positions:
         return ExactnessReport(True, ())
-    objects = (
-        [shift_obj(p, o, -1) for o in a.objects]
-        + list(a.objects)
-        + [shift_obj(p, o, 1) for o in a.objects]
-    )
-    inner = a.maps[:-1]
-    maps = (
-        [shift_mor(m, -1) for m in inner]
-        + [shift_mor(a.maps[-1], -1)]
-        + list(inner)
-        + [a.maps[-1]]
-        + [shift_mor(m, 1) for m in inner]
-    )
+    objects = [shift_obj(p, o, r) for r in (-1, 0, 1) for o in a.objects]
+    entries = ([m.entries for m in a.maps] * 3)[:-1]
     lo = min(positions) - p.period - p.l + 1
     hi = max(positions) + p.period
     slots = range(1, len(objects) - 1)
-    failures = []
-    for t in range(lo, hi + 1):
-        for s in _check_from_side(p, objects, maps, t, slots):
-            failures.append((t, s))
+    failures = [
+        (t, s)
+        for t in range(lo, hi + 1)
+        for s in _inexact_slots(objects, entries, t, t + p.l - 1, slots)
+    ]
     return ExactnessReport(not failures, tuple(failures))

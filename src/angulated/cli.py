@@ -73,6 +73,10 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _entries_doc(mor: Morphism) -> list:
+    return [[frac_str(e) for e in row] for row in mor.entries]
+
+
 def params_doc(params: FamilyParams) -> dict:
     return {"d": params.d, "l": params.l, "m": params.m, "period": params.period}
 
@@ -89,7 +93,7 @@ def mor_doc(params: FamilyParams, mor: Morphism) -> dict:
     return {
         "source": obj_doc(params, mor.source),
         "target": obj_doc(params, mor.target),
-        "entries": [[frac_str(e) for e in row] for row in mor.entries],
+        "entries": _entries_doc(mor),
     }
 
 
@@ -97,8 +101,7 @@ def angle_doc(a: Angle) -> dict:
     return {
         "params": params_doc(a.params),
         "objects": [obj_doc(a.params, o) for o in a.objects],
-        "maps": [{"entries": [[frac_str(e) for e in row] for row in m.entries]}
-                 for m in a.maps],
+        "maps": [{"entries": _entries_doc(m)} for m in a.maps],
     }
 
 
@@ -122,8 +125,7 @@ def chain_doc(chain: FLevelChain) -> dict:
         "params": params_doc(chain.params),
         "kind": chain.kind,
         "objects": [obj_doc(chain.params, o) for o in chain.objects],
-        "maps": [{"entries": [[frac_str(e) for e in row] for row in m.entries]}
-                 for m in chain.maps],
+        "maps": [{"entries": _entries_doc(m)} for m in chain.maps],
     }
 
 

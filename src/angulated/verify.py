@@ -91,6 +91,8 @@ def verify_core(params: FamilyParams) -> list[Check]:
     checks.append(Check("composition associativity over a window", assoc_ok))
     checks.append(Check("radical is an ideal on basis pairs", rad_ok))
 
+    # every sum of at most 2 vertices in [1, l], with every {0, +-1} matrix
+    # on its at most 4 cells: these two limits are the whole coverage
     objs = [indec(q) for q in range(1, l + 1)]
     objs += [
         SumObject((a, b)) for a, b in combinations(range(1, l + 1), 2)
@@ -105,8 +107,6 @@ def verify_core(params: FamilyParams) -> list[Check]:
                 for j, x in enumerate(src.summands)
                 if hom_dim(params, x, y)
             ]
-            if len(cells) > 4:
-                continue
             for combo in product(values, repeat=len(cells)):
                 ents = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
                 for (i, j), v in zip(cells, combo):

@@ -1,9 +1,13 @@
 """Test-side oracles, deliberately independent of the library formulas.
 
 The block-rank isomorphism oracle is shared with the verify suite and
-re-exported from there.
+re-exported from there.  The Hom-exactness references select Hom spaces by
+walking the quiver and build the contravariant complex reversed and
+transposed, as the definition reads, instead of the library's single
+position-window kernel.
 """
 
+from angulated import linalg
 from angulated.verify import block_iso_oracle  # noqa: F401
 
 
@@ -38,3 +42,68 @@ def angle_objects(params, a):
         else:
             out.append(tuple(o.summands))
     return out
+
+
+def _inexact(dims, mats, slots):
+    """Slots of the complex mats[k]: space k -> space k+1 that are not exact.
+
+    Exactness at slot s is rank(in) + rank(out) = dim together with
+    out o in = 0, every matrix ranked and multiplied as it stands.
+    """
+    bad = []
+    for s in slots:
+        in_rank = linalg.rank(mats[s - 1]) if s >= 1 else 0
+        out_rank = linalg.rank(mats[s]) if s < len(mats) else 0
+        ok = in_rank + out_rank == dims[s]
+        if ok and 0 < s < len(mats) and dims[s]:
+            ok = linalg.is_zero(linalg.mat_mul(mats[s], mats[s - 1], dims[s - 1]))
+        if not ok:
+            bad.append(s)
+    return bad
+
+
+def hom_from_inexact_slots(params, objects, maps, t, slots):
+    """Slots where Hom(t, -) leaves the chain inexact, as a plain complex."""
+    keep = [[k for k, q in enumerate(o.summands) if path_hom_dim(params, t, q)]
+            for o in objects]
+    mats = [[[m.entries[i][j] for j in keep[k]] for i in keep[k + 1]]
+            for k, m in enumerate(maps)]
+    return _inexact([len(ks) for ks in keep], mats, slots)
+
+
+def hom_into_inexact_slots(params, objects, maps, t, slots):
+    """Slots where Hom(-, t) leaves the chain inexact.
+
+    Hom(-, t) reverses the chain: the reversed complex has the transposed
+    matrices in reverse order, and original slot s is its slot n-1-s.
+    """
+    n = len(objects)
+    keep = [[k for k, q in enumerate(o.summands) if path_hom_dim(params, q, t)]
+            for o in objects]
+    mats = [[[m.entries[i][j] for i in keep[k + 1]] for j in keep[k]]
+            for k, m in enumerate(maps)]
+    bad = _inexact(
+        [len(ks) for ks in reversed(keep)], mats[::-1], [n - 1 - s for s in slots]
+    )
+    return sorted(n - 1 - s for s in bad)
+
+
+def d_cokernel_reference(chain, mu):
+    """source(mu) -> chain -> 0 exact under every Hom(-, f_t)."""
+    objects = (mu.source,) + chain.objects
+    maps = (mu,) + chain.maps
+    return not any(
+        hom_into_inexact_slots(chain.params, objects, maps, t, range(1, len(objects)))
+        for t in range(1, chain.params.period + 1)
+    )
+
+
+def d_exact_reference(chain):
+    """The full chain exact under every Hom(f_t, -) and every Hom(-, f_t)."""
+    p, objects, maps = chain.params, chain.objects, chain.maps
+    n = len(objects)
+    return not any(
+        hom_from_inexact_slots(p, objects, maps, t, range(n - 1))
+        or hom_into_inexact_slots(p, objects, maps, t, range(1, n))
+        for t in range(1, p.period + 1)
+    )

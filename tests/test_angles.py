@@ -31,6 +31,7 @@ from angulated import (
     trivial_angle,
     zero_mor,
 )
+from angulated import linalg
 from angulated.core import scale
 
 from oracles import angle_objects
@@ -240,6 +241,25 @@ class TestWindowChains:
         broken = type(chain)(p449, "kernel", tuple(objects), tuple(maps))
         assert not check_d_kernel(broken, basis_mor(p449, 3, 6))
 
+    def test_tampered_cokernel_chain_fails(self, p449):
+        chain = d_cokernel(p449, 3, 6)
+        objects = list(chain.objects)
+        objects[2] = ZERO_OBJ  # drop f10 from the ladder
+        maps = list(chain.maps)
+        maps[1] = zero_mor(p449, objects[1], objects[2])
+        maps[2] = zero_mor(p449, objects[2], objects[3])
+        broken = type(chain)(p449, "cokernel", tuple(objects), tuple(maps))
+        assert not check_d_cokernel(broken, basis_mor(p449, 3, 6))
+        # the same gap in the full sequence 2, 3, 6, 7, 10, 11
+        exact = d_exact_seq(p449, 3, 6)
+        objects = list(exact.objects)
+        objects[4] = ZERO_OBJ
+        maps = list(exact.maps)
+        maps[3] = zero_mor(p449, objects[3], objects[4])
+        maps[4] = zero_mor(p449, objects[4], objects[5])
+        broken = type(exact)(p449, "exact", tuple(objects), tuple(maps))
+        assert not check_d_exact(broken)
+
 
 class TestHomExactnessOracle:
     def test_golden_angle_passes(self, p449):
@@ -257,6 +277,19 @@ class TestHomExactnessOracle:
         assert report.failures
         # the zeroed map sits at slots d+2+2, d+2+3 of the extended complex
         assert any(slot in {p449.d + 4, p449.d + 5} for _, slot in report.failures)
+
+    def test_ranks_each_nonempty_map_once(self, p449, monkeypatch):
+        shapes = []
+        rank = linalg.rank
+
+        def counting_rank(rows):
+            shapes.append((len(rows), len(rows[0]) if rows else 0))
+            return rank(rows)
+
+        monkeypatch.setattr(linalg, "rank", counting_rank)
+        assert check_hom_exactness(min_angle(basis_mor(p449, 1, 3))).ok
+        assert all(r and c for r, c in shapes), "rank called on an empty matrix"
+        assert len(shapes) == 34
 
 
 class TestAngleValidation:

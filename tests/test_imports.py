@@ -1,16 +1,18 @@
-"""No unused imports in the package or the tests (standard library `ast` only).
+"""No unused imports and no orphaned private helpers (standard library `ast` only).
 
-`__init__.py` files are skipped because their imports are re-exports; a
-single import line can opt out with `# noqa: F401`.
+`__init__.py` files are skipped by the import scan because their imports
+are re-exports; a single import line can opt out with `# noqa: F401`.  A
+module-level private definition (`_name`, not a dunder) in the package
+must be referenced somewhere in the package, so a helper left behind when
+its last caller goes is caught.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "angulated").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "angulated").glob("*.py"))
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,3 +48,52 @@ def test_no_unused_imports():
         and (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def orphaned_private_defs(sources: dict[str, str]) -> list[str]:
+    """Module-level `_name` definitions that no source in `sources` references.
+
+    A reference is a loaded name, an attribute or an imported name anywhere
+    in any of the sources; the definition itself does not count.
+    """
+    defined = []
+    used = set()
+    for label, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [(label, name, node.lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{label}: {name} (line {line})" for label, name, line in defined
+            if name not in used]
+
+
+def test_checker_flags_an_orphaned_private_helper():
+    sources = {
+        "a.py": "_KEPT = 1\n_LOST: int = 2\n\ndef _used():\n    return _KEPT\n\n"
+                "def _orphan():\n    return 0\n\nclass _Gone:\n    pass\n\n"
+                "__all__ = []\n",
+        "b.py": "from a import _used\n\ndef run():\n    return _used()\n",
+    }
+    assert orphaned_private_defs(sources) == [
+        "a.py: _LOST (line 2)", "a.py: _orphan (line 7)", "a.py: _Gone (line 10)",
+    ]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert orphaned_private_defs(sources) == []

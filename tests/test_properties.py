@@ -13,8 +13,12 @@ from angulated import (
     ar_angle_in,
     basis_mor,
     check_hom_exactness,
+    check_d_cokernel,
+    check_d_exact,
     compose,
     cover,
+    d_cokernel,
+    d_exact_seq,
     enumerate_wide,
     hom_dim,
     is_ar_angle,
@@ -32,9 +36,10 @@ from angulated import (
     theorem_b_check,
     validate_params,
 )
+from angulated.angles import FLevelChain
 from angulated.core import left_factor, right_factor
 
-from oracles import block_iso_oracle
+from oracles import block_iso_oracle, d_cokernel_reference, d_exact_reference
 
 TRIPLES = [(2, 2, 3), (2, 3, 4), (4, 4, 9), (2, 4, 5), (4, 2, 5), (6, 2, 7)]
 PARAMS = [validate_params(*t) for t in TRIPLES]
@@ -203,3 +208,48 @@ def test_right_minimal_rejects_non_invertible_fixers(p, data):
         if compose(xi, phi) == xi and not block_iso_oracle(phi):
             assert not is_right_minimal(xi)
             return
+
+
+def _perturbed_chain(data, p, objects, maps):
+    """The chain as given, or with one object or one map redrawn at random.
+
+    A redrawn object is a sum of 0-2 vertices near the window, and the maps
+    on either side of it are redrawn too, so most perturbed chains are not
+    exact under some Hom functor.
+    """
+    objects, maps = list(objects), list(maps)
+    k = data.draw(st.integers(0, len(objects)))
+    if k < len(objects):
+        if data.draw(st.booleans()):
+            objects[k] = SumObject(tuple(sorted(data.draw(st.lists(
+                st.integers(1 - p.l, p.period + p.l), max_size=2)))))
+        for m in (k - 1, k):
+            if 0 <= m < len(maps):
+                maps[m] = _draw_mor(data, p, objects[m], objects[m + 1])
+    return tuple(objects), tuple(maps)
+
+
+def _window_pair(data, p):
+    i = data.draw(st.integers(1, p.period - 1))
+    j = data.draw(st.integers(i + 1, min(i + p.l - 1, p.period)))
+    return i, j
+
+
+@given(small_params_st, st.data())
+@settings(max_examples=150, deadline=None)
+def test_d_cokernel_matches_reversed_transposed_reference(p, data):
+    i, j = _window_pair(data, p)
+    chain, mu = d_cokernel(p, i, j), basis_mor(p, i, j)
+    objects, maps = _perturbed_chain(
+        data, p, (mu.source,) + chain.objects, (mu,) + chain.maps
+    )
+    chain = FLevelChain(p, "cokernel", objects[1:], maps[1:])
+    assert check_d_cokernel(chain, maps[0]) == d_cokernel_reference(chain, maps[0])
+
+
+@given(small_params_st, st.data())
+@settings(max_examples=150, deadline=None)
+def test_d_exact_matches_two_sided_reference(p, data):
+    chain = d_exact_seq(p, *_window_pair(data, p))
+    chain = FLevelChain(p, "exact", *_perturbed_chain(data, p, chain.objects, chain.maps))
+    assert check_d_exact(chain) == d_exact_reference(chain)
