@@ -5,7 +5,14 @@ Objects are written as `f<i>` with an optional shift prefix `s<k>:`
 form `p<int>` is also accepted.  Output is canonical one-line JSON by
 default, `--format text` for a human rendering, and `--format dot` on the
 `quiver` subcommand.  Domain errors exit 1 with an error document on
-stderr; usage and configuration errors exit 2.
+stderr; usage and configuration errors exit 2.  A token that does not
+parse (an object, a subcategory index, a config value) is a usage error;
+a parsed value outside its range (`f13` or `--sub 13` at period 12) is the
+domain error `BadDistance`.  `verify` exits 1 when a check fails.
+
+Each subcommand is one handler that returns its JSON document and its
+text rendering; the parser attaches it to the subcommand's subparser, and
+`_run` prints the one the format asks for.
 """
 
 import argparse
@@ -204,36 +211,45 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["text", "json", "dot"], default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("params")
+    sub.add_parser("params").set_defaults(run=_params)
     p = sub.add_parser("hom")
     p.add_argument("x")
     p.add_argument("y")
+    p.set_defaults(run=_hom)
     p = sub.add_parser("compose")
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("z")
+    p.set_defaults(run=_compose)
     p = sub.add_parser("angle")
     p.add_argument("x")
     p.add_argument("y")
-    for name in ("dkernel", "dcokernel", "dexact"):
+    p.set_defaults(run=_angle)
+    for name in _CHAINS:
         p = sub.add_parser(name)
         p.add_argument("i", type=int)
         p.add_argument("j", type=int)
+        p.set_defaults(run=_chain)
     p = sub.add_parser("ar")
     p.add_argument("x")
     p.add_argument("--sub", default=None)
+    p.set_defaults(run=_ar)
     p = sub.add_parser("cover")
     p.add_argument("x")
     p.add_argument("--sub", required=True)
+    p.set_defaults(run=_cover)
     p = sub.add_parser("wide")
     p.add_argument("action", choices=["list", "check"])
     p.add_argument("spec", nargs="?", default=None)
+    p.set_defaults(run=_wide)
     p = sub.add_parser("verify")
     p.add_argument("target", choices=sorted(verify.SUITES))
+    p.set_defaults(run=_verify)
     p = sub.add_parser("quiver")
     p.add_argument("--from", dest="lo", default=None)
     p.add_argument("--to", dest="hi", default=None)
     p.add_argument("--sub", default=None)
+    p.set_defaults(run=_quiver)
     return parser
 
 
@@ -244,198 +260,172 @@ def _parse_sub(params: FamilyParams, text: str) -> wide.SubcatSpec:
         indices = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse subcategory spec {text!r}")
-    try:
-        return wide.SubcatSpec(params, indices)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return wide.SubcatSpec(params, indices)
 
 
-def _emit(doc: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(doc))
+# ---------------------------------------------------------------------------
+# subcommands: each returns (JSON document, text rendering)
+# ---------------------------------------------------------------------------
+
+def _params(params, args):
+    return (
+        params_doc(params),
+        f"d={params.d} l={params.l} m={params.m} period={params.period}",
+    )
+
+
+def _hom(params, args):
+    x = parse_object(params, args.x)
+    y = parse_object(params, args.y)
+    dim = hom_dim(params, x, y)
+    doc = {
+        "params": params_doc(params),
+        "source": obj_doc(params, indec(x)),
+        "target": obj_doc(params, indec(y)),
+        "dim": dim,
+    }
+    return doc, f"dim Hom({args.x} -> {args.y}) = {dim}"
+
+
+def _compose(params, args):
+    x = parse_object(params, args.x)
+    y = parse_object(params, args.y)
+    z = parse_object(params, args.z)
+    out = compose(basis_mor(params, y, z), basis_mor(params, x, y))
+    entry = out.entries[0][0]
+    text = f"u({args.y} -> {args.z}) o u({args.x} -> {args.y}) = " + (
+        f"{frac_str(entry)} * u({args.x} -> {args.z})" if entry else "0"
+    )
+    return {"params": params_doc(params), **mor_doc(params, out)}, text
+
+
+def _angle(params, args):
+    x = parse_object(params, args.x)
+    y = parse_object(params, args.y)
+    a = min_angle(basis_mor(params, x, y))
+    return angle_doc(a), angle_text(a)
+
+
+_CHAINS = {"dkernel": d_kernel, "dcokernel": d_cokernel, "dexact": d_exact_seq}
+
+
+def _chain(params, args):
+    chain = _CHAINS[args.command](params, args.i, args.j)
+    return chain_doc(chain), chain_text(chain)
+
+
+def _ar(params, args):
+    x = parse_object(params, args.x)
+    if args.sub is None:
+        a = artheory.ar_angle(params, x)
     else:
-        print(text)
+        a = artheory.ar_angle_in(_parse_sub(params, args.sub), x)
+    return angle_doc(a), angle_text(a)
+
+
+def _cover(params, args):
+    x = parse_object(params, args.x)
+    spec = _parse_sub(params, args.sub)
+    result = artheory.cover(spec, x)
+    doc = {
+        "params": params_doc(params),
+        "sub": list(spec.indices),
+        "source": obj_doc(params, result.source),
+        "morphism": mor_doc(params, result.mor),
+    }
+    return doc, (
+        f"cover of {args.x}: {obj_text(params, result.source)} -> "
+        f"{obj_text(params, result.mor.target)}"
+    )
+
+
+def _wide(params, args):
+    if args.action == "list":
+        specs = wide.enumerate_wide(params)
+        doc = {
+            "params": params_doc(params),
+            "count": len(specs),
+            "specs": [list(s.indices) for s in specs],
+        }
+        return doc, "\n".join(str(list(s.indices)) for s in specs)
+    if args.spec is None:
+        raise UsageError("wide check needs a spec argument")
+    spec = _parse_sub(params, args.spec)
+    semis = wide.is_semisimple_wide(spec)
+    periodic = wide.is_l_periodic(spec)
+    classified = wide.is_wide(spec)
+    oracle = wide.is_wide_oracle(spec)
+    doc = {
+        "params": params_doc(params),
+        "indices": list(spec.indices),
+        "semisimple": semis,
+        "periodic": periodic,
+        "wide": classified,
+        "oracle": oracle,
+        "agree": classified == oracle,
+    }
+    return doc, (
+        f"{list(spec.indices)}: wide={classified} "
+        f"(semisimple={semis}, periodic={periodic}, oracle={oracle})"
+    )
+
+
+def _verify(params, args):
+    checks = verify.SUITES[args.target](params)
+    ok = all(c.ok for c in checks)
+    doc = {
+        "params": params_doc(params),
+        "target": args.target,
+        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks],
+        "ok": ok,
+    }
+    text = "\n".join(
+        f"[{'PASS' if c.ok else 'FAIL'}] {c.name}" for c in checks
+    ) + f"\noverall: {'PASS' if ok else 'FAIL'}"
+    return doc, text
+
+
+def _quiver(params, args):
+    lo = parse_object(params, args.lo) if args.lo else 1
+    hi = parse_object(params, args.hi) if args.hi else params.period
+    if hi < lo:
+        raise UsageError("--to must not precede --from")
+    spec = _parse_sub(params, args.sub) if args.sub else None
+    window = range(lo, hi + 1)
+    doc = {
+        "params": params_doc(params),
+        "window": [lo, hi],
+        "nodes": obj_doc(params, SumObject(tuple(window))),
+        "members": [
+            pos for pos in window if spec is not None and spec.contains_pos(pos)
+        ],
+    }
+    if args.format == "dot":
+        return doc, quiver_dot(params, lo, hi, spec)
+    return doc, " -> ".join(pos_label(params, q) for q in window)
 
 
 def _run(args) -> int:
     config = _read_config(args.config) if args.config else {}
-
-    def setting(name, flag):
-        if flag is not None:
-            return flag
-        if name in config:
-            if name in {"d", "l", "m"}:
+    for name in ("d", "l", "m", "format"):
+        if getattr(args, name) is None and name in config:
+            value = config[name]
+            if name != "format":
                 try:
-                    return int(config[name])
+                    value = int(value)
                 except ValueError:
                     raise UsageError(f"config key {name} must be an integer")
-            return config[name]
-        return None
-
-    d, l, m = setting("d", args.d), setting("l", args.l), setting("m", args.m)
-    fmt = setting("format", args.format) or "json"
-    if fmt not in {"text", "json", "dot"}:
-        raise UsageError(f"unknown format {fmt!r}")
-    if fmt == "dot" and args.command != "quiver":
+            setattr(args, name, value)
+    args.format = args.format or "json"
+    if args.format not in {"text", "json", "dot"}:
+        raise UsageError(f"unknown format {args.format!r}")
+    if args.format == "dot" and args.run is not _quiver:
         raise UsageError("dot output is only available for the quiver command")
-    if d is None or l is None or m is None:
+    if args.d is None or args.l is None or args.m is None:
         raise UsageError("parameters --d, --l, --m are required (flags or config)")
-    params = validate_params(d, l, m)
-
-    cmd = args.command
-    if cmd == "params":
-        _emit(
-            params_doc(params),
-            f"d={params.d} l={params.l} m={params.m} period={params.period}",
-            fmt,
-        )
-        return 0
-
-    if cmd == "hom":
-        x = parse_object(params, args.x)
-        y = parse_object(params, args.y)
-        dim = hom_dim(params, x, y)
-        doc = {
-            "params": params_doc(params),
-            "source": obj_doc(params, indec(x)),
-            "target": obj_doc(params, indec(y)),
-            "dim": dim,
-        }
-        _emit(doc, f"dim Hom({args.x} -> {args.y}) = {dim}", fmt)
-        return 0
-
-    if cmd == "compose":
-        x = parse_object(params, args.x)
-        y = parse_object(params, args.y)
-        z = parse_object(params, args.z)
-        out = compose(basis_mor(params, y, z), basis_mor(params, x, y))
-        doc = {"params": params_doc(params), **mor_doc(params, out)}
-        entry = out.entries[0][0]
-        _emit(
-            doc,
-            f"u({args.y} -> {args.z}) o u({args.x} -> {args.y}) = "
-            + (f"{frac_str(entry)} * u({args.x} -> {args.z})" if entry else "0"),
-            fmt,
-        )
-        return 0
-
-    if cmd == "angle":
-        x = parse_object(params, args.x)
-        y = parse_object(params, args.y)
-        a = min_angle(basis_mor(params, x, y))
-        _emit(angle_doc(a), angle_text(a), fmt)
-        return 0
-
-    if cmd in {"dkernel", "dcokernel", "dexact"}:
-        builder = {"dkernel": d_kernel, "dcokernel": d_cokernel, "dexact": d_exact_seq}
-        chain = builder[cmd](params, args.i, args.j)
-        _emit(chain_doc(chain), chain_text(chain), fmt)
-        return 0
-
-    if cmd == "ar":
-        x = parse_object(params, args.x)
-        if args.sub is None:
-            a = artheory.ar_angle(params, x)
-        else:
-            a = artheory.ar_angle_in(_parse_sub(params, args.sub), x)
-        _emit(angle_doc(a), angle_text(a), fmt)
-        return 0
-
-    if cmd == "cover":
-        x = parse_object(params, args.x)
-        spec = _parse_sub(params, args.sub)
-        result = artheory.cover(spec, x)
-        doc = {
-            "params": params_doc(params),
-            "sub": list(spec.indices),
-            "source": obj_doc(params, result.source),
-            "morphism": mor_doc(params, result.mor),
-        }
-        _emit(
-            doc,
-            f"cover of {args.x}: {obj_text(params, result.source)} -> "
-            f"{obj_text(params, result.mor.target)}",
-            fmt,
-        )
-        return 0
-
-    if cmd == "wide":
-        if args.action == "list":
-            specs = wide.enumerate_wide(params)
-            doc = {
-                "params": params_doc(params),
-                "count": len(specs),
-                "specs": [list(s.indices) for s in specs],
-            }
-            _emit(doc, "\n".join(str(list(s.indices)) for s in specs), fmt)
-            return 0
-        if args.spec is None:
-            raise UsageError("wide check needs a spec argument")
-        spec = _parse_sub(params, args.spec)
-        semis = wide.is_semisimple_wide(spec)
-        periodic = wide.is_l_periodic(spec)
-        classified = wide.is_wide(spec)
-        oracle = wide.is_wide_oracle(spec)
-        doc = {
-            "params": params_doc(params),
-            "indices": list(spec.indices),
-            "semisimple": semis,
-            "periodic": periodic,
-            "wide": classified,
-            "oracle": oracle,
-            "agree": classified == oracle,
-        }
-        _emit(
-            doc,
-            f"{list(spec.indices)}: wide={classified} "
-            f"(semisimple={semis}, periodic={periodic}, oracle={oracle})",
-            fmt,
-        )
-        return 0
-
-    if cmd == "verify":
-        checks = verify.SUITES[args.target](params)
-        ok = all(c.ok for c in checks)
-        doc = {
-            "params": params_doc(params),
-            "target": args.target,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks
-            ],
-            "ok": ok,
-        }
-        text = "\n".join(
-            f"[{'PASS' if c.ok else 'FAIL'}] {c.name}" for c in checks
-        ) + f"\noverall: {'PASS' if ok else 'FAIL'}"
-        _emit(doc, text, fmt)
-        return 0 if ok else 1
-
-    if cmd == "quiver":
-        lo = parse_object(params, args.lo) if args.lo else 1
-        hi = parse_object(params, args.hi) if args.hi else params.period
-        if hi < lo:
-            raise UsageError("--to must not precede --from")
-        spec = _parse_sub(params, args.sub) if args.sub else None
-        if fmt == "dot":
-            print(quiver_dot(params, lo, hi, spec))
-            return 0
-        doc = {
-            "params": params_doc(params),
-            "window": [lo, hi],
-            "nodes": obj_doc(params, SumObject(tuple(range(lo, hi + 1)))),
-            "members": [
-                pos for pos in range(lo, hi + 1)
-                if spec is not None and spec.contains_pos(pos)
-            ],
-        }
-        _emit(
-            doc,
-            " -> ".join(pos_label(params, q) for q in range(lo, hi + 1)),
-            fmt,
-        )
-        return 0
-
-    raise UsageError(f"unknown command {cmd!r}")
+    doc, text = args.run(validate_params(args.d, args.l, args.m), args)
+    print(json.dumps(doc) if args.format == "json" else text)
+    return 0 if doc.get("ok", True) else 1
 
 
 def main(argv=None) -> int:

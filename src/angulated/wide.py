@@ -11,7 +11,7 @@ under d-extensions on minimal angles.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import FamilyParams, SumObject, index_of, residue_class
+from .core import BadDistance, FamilyParams, SumObject, index_of, residue_class
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class SubcatSpec:
         idx = tuple(sorted(set(self.indices)))
         for i in idx:
             if not 1 <= i <= self.params.period:
-                raise ValueError(f"index {i} outside [1, {self.params.period}]")
+                raise BadDistance(f"index {i} outside [1, {self.params.period}]")
         object.__setattr__(self, "indices", idx)
 
     def contains_pos(self, pos: int) -> bool:

@@ -223,6 +223,92 @@ class TestReadmeExamples:
                 ran += 1
         assert ran >= 12
 
+    def test_every_subcommand_has_an_example(self):
+        import argparse
+        import pathlib
+        import re
+
+        from angulated.cli import _build_parser
+
+        parser = _build_parser()
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        readme = pathlib.Path(__file__).parent.parent / "README.md"
+        examples = re.findall(r"^\$ angulated (.*)$", readme.read_text(), re.M)
+        shown = {parser.parse_args(line.split()).command for line in examples}
+        assert sorted(set(subparsers.choices) - shown) == []
+
+
+class TestExitCodes:
+    """The exit-code contract: 0 on an answer, 1 on a domain error or a
+    failing suite, 2 on a usage or configuration error."""
+
+    @pytest.mark.parametrize("config, argv", [
+        (None, ("hom", "foo", "f1")),
+        (None, ("quiver", "--from", "f6", "--to", "f1")),
+        (None, ("wide", "check")),
+        (None, ("cover", "f7")),
+        (None, ("nosuch",)),
+        ("d=four\nl=4\nm=9\n", ("params",)),
+        ("d=4\nl=4\nm=9\nformat=yaml\n", ("params",)),
+        ("d=4\nl=4\nm=9\njunk\n", ("params",)),
+    ], ids=["bad object", "reversed window", "check without spec",
+            "cover without sub", "unknown subcommand", "config d=four",
+            "config format=yaml", "config line without ="])
+    def test_usage_errors_exit_two(self, capsys, tmp_path, config, argv):
+        if config is None:
+            prefix = ARGS449
+        else:
+            cfg = tmp_path / "family.cfg"
+            cfg.write_text(config)
+            prefix = ("--config", str(cfg))
+        code, out, err = run(capsys, *prefix, *argv)
+        assert code == 2
+        assert out == "" and err != ""
+
+    def test_dot_check_precedes_parameter_validation(self, capsys):
+        code, _, err = run(
+            capsys, "--d", "3", "--l", "2", "--m", "4", "--format", "dot", "params"
+        )
+        assert code == 2
+        assert "dot output is only available" in err
+
+    def test_help_exits_zero_with_usage_on_stdout(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: angulated")
+
+    def test_failing_suite_exits_one(self, capsys, monkeypatch):
+        from angulated import verify
+
+        monkeypatch.setitem(
+            verify.SUITES, "core", lambda params: [verify.Check("planted", False)]
+        )
+        code, out, _ = run(capsys, *ARGS449, "verify", "core")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["checks"] == [{"name": "planted", "ok": False, "detail": ""}]
+
+    @pytest.mark.parametrize("argv", [
+        ("ar", "f1", "--sub", "0,5"),
+        ("cover", "f7", "--sub", "13"),
+        ("wide", "check", "13"),
+    ])
+    def test_out_of_window_index_is_a_domain_error(self, capsys, argv):
+        # a token that parses but lies outside [1, period] exits 1, as an
+        # out-of-window object argument does; a token that does not parse
+        # exits 2
+        code, out, err = run(capsys, *ARGS449, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "BadDistance"
+
+    def test_unparsable_spec_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, *ARGS449, "ar", "f1", "--sub", "1,x")
+        assert code == 2
+        assert "cannot parse subcategory spec" in err
+
 
 class TestConfigFile:
     def test_config_supplies_params(self, capsys, tmp_path):

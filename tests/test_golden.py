@@ -1,8 +1,10 @@
 """Golden guard: canonical JSON output of fixed CLI commands, pinned by hash.
 
-The digests were taken from the package before the integer kernel
-replaced Fraction elimination; any change to a verdict, a detail string,
-a returned factor or the entry formatting changes a digest.  A deliberate
+The first eight digests were taken from the package before the integer
+kernel replaced Fraction elimination, the rest (one or more per
+subcommand and output format) before the CLI dispatch became a table of
+handlers; any change to a verdict, a detail string, a returned factor or
+the entry formatting changes a digest.  A deliberate
 change of output must update the digest in the same commit and say why.
 """
 
@@ -31,6 +33,26 @@ GOLDEN = [
      "a168dfca7c56a366e4acbb7e1e4ffa0da891fbf3730285ca80fd71f1b04773e6"),
     ((4, 4, 9), ("compose", "f1", "f2", "f3"),
      "0a7aec1c107a9e8f86f6d28b25c2834c622a5d6c0c0e17dc058a64a47297181b"),
+    ((4, 4, 9), ("params",),
+     "ab1b29e5a281ff712f14da1f42fdb851249bc29d9209318d7b1f36d6d881b6bd"),
+    ((4, 4, 9), ("hom", "f1", "f4"),
+     "7a34f3ad73d85fd608a1d6d3ada8f8ce6814ee03ccdc3210c94771b26c599ccf"),
+    ((4, 4, 9), ("dkernel", "3", "6"),
+     "370a9b288d16be19f53f73acc8a93a33ee66eafc2651d03f23d6de74d7b96170"),
+    ((4, 4, 9), ("dcokernel", "3", "6"),
+     "0bdf9d296d41abb807644902500f62efdc2b34a3a64c3ada58752a01d4b1e7c3"),
+    ((4, 4, 9), ("wide", "check", "1,2,5,6,9,10"),
+     "8761613b525034289888e133d2f0a609d701df161f30557786548059a1631c49"),
+    ((4, 4, 9), ("quiver", "--from", "f1", "--to", "f6", "--sub", "1,5,9"),
+     "dab5853cb1175d91dd00a8396eacf5327300159f8bd148bdea442d5483638696"),
+    ((4, 4, 9), ("--format", "dot", "quiver", "--from", "f1", "--to", "f6", "--sub", "1,5,9"),
+     "745bc500e173997a02df1942994890840f0d2e19b92d95c1625a1931fcb53a5c"),
+    ((4, 4, 9), ("--format", "text", "ar", "f9", "--sub", "1,5,9"),
+     "4fa58b0a5562fc3c90a8ca1ea21a4ea678b62e44885ecab89450eea71235b6c0"),
+    ((2, 2, 3), ("wide", "list"),
+     "1dcb495e3605c299f998bbcd015d841fe27063148130d4d913663a7625cff175"),
+    ((2, 2, 3), ("--format", "text", "verify", "wide"),
+     "a8dd3600e0f567cb9e3c411a9319348fcc6a96f22de1c1c8bfcf3cb6f5fcbca6"),
 ]
 
 

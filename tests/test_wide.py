@@ -163,3 +163,14 @@ class TestBarUnbar:
         sp = spec(p449, 1, 2, 5, 6, 9, 10)
         assert sp.contains_obj(indec(join_pos(p449, -1, 10)))
         assert not sp.contains_obj(indec(4))
+
+
+class TestSpecWindow:
+    @pytest.mark.parametrize("index", [0, 13])
+    def test_out_of_window_index_is_bad_distance(self, p449, index):
+        from angulated import BadDistance
+
+        with pytest.raises(BadDistance, match=f"index {index} outside"):
+            SubcatSpec(p449, (1, index))
+        with pytest.raises(ValueError):  # library callers see no change
+            SubcatSpec(p449, (index,))
