@@ -90,6 +90,27 @@ def trivial_angle(params: FamilyParams, x: SumObject, c=1) -> Angle:
     return Angle(params, objects, tuple(maps))
 
 
+def _degenerate_angle(params: FamilyParams, pos: int, c=1) -> Angle:
+    """shift(x, -1) -> 0 -> ... -> 0 -> x with connecting map c*id on x = f_pos.
+
+    This is rotate_left(trivial_angle(params, indec(pos - period), c)),
+    built directly because the rotation validates a second angle of d + 2
+    maps, which costs the most at large d.  It is the AR angle of a
+    subcategory in the degenerate case, and the block of `extend` on a
+    distance-0 connector cell.
+    """
+    n = params.d + 2
+    head = indec(pos - params.period)
+    tail = indec(pos)
+    objects = (head,) + (ZERO_OBJ,) * (n - 2) + (tail,)
+    maps = [zero_mor(params, head, ZERO_OBJ)]
+    for _ in range(n - 3):
+        maps.append(zero_mor(params, ZERO_OBJ, ZERO_OBJ))
+    maps.append(zero_mor(params, ZERO_OBJ, tail))
+    maps.append(scale(identity_mor(params, tail), c))
+    return Angle(params, objects, tuple(maps))
+
+
 def rotate_left(a: Angle) -> Angle:
     """Drop the first object, append its shift; d is even so no sign flips."""
     p = a.params
@@ -114,12 +135,15 @@ def shift_angle(a: Angle, r: int) -> Angle:
     )
 
 
-def direct_sum(a: Angle, b: Angle) -> Angle:
-    if a.params != b.params:
-        raise ShapeMismatch("angles live over different parameters")
-    objects = tuple(direct_sum_obj(x, y) for x, y in zip(a.objects, b.objects))
-    maps = tuple(direct_sum_mor(f, g) for f, g in zip(a.maps, b.maps))
-    return Angle(a.params, objects, maps)
+def direct_sum(first: Angle, *rest: Angle) -> Angle:
+    """Slot-wise direct sum of one or more angles, validated once.
+
+    Angles over different parameters raise ShapeMismatch in direct_sum_mor.
+    """
+    angles = (first, *rest)
+    objects = tuple(direct_sum_obj(*objs) for objs in zip(*(a.objects for a in angles)))
+    maps = tuple(direct_sum_mor(*mors) for mors in zip(*(a.maps for a in angles)))
+    return Angle(first.params, objects, maps)
 
 
 def _single_entry(mor: Morphism) -> Fraction | None:
@@ -172,49 +196,57 @@ def min_angle(mu: Morphism) -> Angle:
 def extend(delta: Morphism) -> Angle:
     """Some angle whose connecting map is `delta`.
 
-    A nonzero basis component from source vertex y to target vertex
-    shift(x) contributes the right rotation of its minimal angle; rows and
-    columns of `delta` that carry no entry contribute split (contractible)
-    blocks.  The support must be a partial matching of summands: a
-    connector mixing one summand into several is not decomposed here.
+    The support of `delta` must be a partial matching of summands (no row
+    or column with two nonzero cells); otherwise ShapeMismatch.  The angle
+    is the direct sum, taken once, of these blocks in this order: per
+    nonzero cell e from source vertex y to target vertex x, row by row,
+    the right rotation of the minimal angle on e*u(y -> x), or for x = y
+    shift(x, -1) -> 0 -> ... -> 0 -> x ending in e*id; per target summand
+    x without a cell, the trivial angle on shift(x, -1); per source summand
+    y without a cell, the trivial angle on shift(y, -1) rotated left twice.
+    Both of the last two have connector zero.
     """
     p = delta.params
-    used_rows = [any(row) for row in delta.entries]
-    used_cols = [
-        any(delta.entries[i][j] for i in range(len(delta.target)))
-        for j in range(len(delta.source))
+    src, tgt = delta.source.summands, delta.target.summands
+    cells = [
+        (i, j, e) for i, row in enumerate(delta.entries) for j, e in enumerate(row) if e
     ]
-    for i, row in enumerate(delta.entries):
-        if sum(1 for e in row if e) > 1:
-            raise ShapeMismatch("connector support must be a partial matching")
-    for j in range(len(delta.source)):
-        if sum(1 for i in range(len(delta.target)) if delta.entries[i][j]) > 1:
-            raise ShapeMismatch("connector support must be a partial matching")
-
-    blocks = []
-    for i, tpos in enumerate(delta.target.summands):
-        for j, spos in enumerate(delta.source.summands):
-            if delta.entries[i][j]:
-                comp = Morphism(
-                    p, indec(spos), indec(tpos), ((delta.entries[i][j],),)
-                )
-                blocks.append(rotate_right(min_angle(comp)))
-    for i, tpos in enumerate(delta.target.summands):
-        if not used_rows[i]:
-            # unmatched x-part: trivial angle on shift(tpos, -1)
-            blocks.append(trivial_angle(p, indec(tpos - p.period)))
-    for j, spos in enumerate(delta.source.summands):
-        if not used_cols[j]:
-            # unmatched y-part: twice rotated trivial angle, connector zero
-            blocks.append(
-                rotate_left(rotate_left(trivial_angle(p, indec(spos - p.period))))
-            )
+    rows, cols = [i for i, _, _ in cells], [j for _, j, _ in cells]
+    if len(set(rows)) < len(cells) or len(set(cols)) < len(cells):
+        raise ShapeMismatch("connector support must be a partial matching")
+    lone_rows = [i for i in range(len(tgt)) if i not in rows]
+    lone_cols = [j for j in range(len(src)) if j not in cols]
+    blocks = [
+        rotate_right(min_angle(Morphism(p, indec(src[j]), indec(tgt[i]), ((e,),))))
+        if src[j] != tgt[i]
+        else _degenerate_angle(p, src[j], e)  # min_angle puts an iso in slot 0
+        for i, j, e in cells
+    ]
+    blocks += [trivial_angle(p, indec(tgt[i] - p.period)) for i in lone_rows]
+    blocks += [
+        rotate_left(rotate_left(trivial_angle(p, indec(src[j] - p.period))))
+        for j in lone_cols
+    ]
     if not blocks:
         return trivial_angle(p, ZERO_OBJ)
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = direct_sum(out, b)
-    return out
+    a = direct_sum(*blocks)
+    if a.connecting == delta:
+        return a
+    # The sum orders equal positions by block: row k of its connector is
+    # row row_at[k] of delta and column k is column col_at[k].  Permuting
+    # the columns of maps[0] and the rows of maps[d] back is an isomorphism
+    # of angles (only equal positions trade places) onto one ending in delta.
+    row_at = sorted(rows + lone_rows, key=tgt.__getitem__)
+    col_at = sorted(cols + lone_cols, key=src.__getitem__)
+    row_back = sorted(range(len(tgt)), key=row_at.__getitem__)
+    col_back = sorted(range(len(src)), key=col_at.__getitem__)
+    m0, md = a.maps[0], a.maps[p.d]
+    m0 = Morphism(
+        p, m0.source, m0.target,
+        tuple(tuple(row[k] for k in row_back) for row in m0.entries),
+    )
+    md = Morphism(p, md.source, md.target, tuple(md.entries[k] for k in col_back))
+    return Angle(p, a.objects, (m0, *a.maps[1:p.d], md, delta))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .angles import Angle, min_angle
+from .angles import Angle, _degenerate_angle, min_angle
 from .core import (
     FamilyParams,
     InternalError,
@@ -25,7 +25,6 @@ from .core import (
     _right_factor_system,
     basis_mor,
     hom_dim,
-    identity_mor,
     indec,
     is_radical,
     is_split_epi,
@@ -67,25 +66,6 @@ def cover(spec: SubcatSpec, pos: int) -> CoverResult:
         if spec.contains_pos(w):
             return CoverResult(indec(w), basis_mor(p, w, pos))
     return CoverResult(ZERO_OBJ, zero_mor(p, ZERO_OBJ, indec(pos)))
-
-
-def _degenerate_angle(params: FamilyParams, pos: int) -> Angle:
-    """shift(x, -1) -> 0 -> ... -> 0 -> x with identity connecting map.
-
-    This is rotate_left(trivial_angle(params, indec(pos - period))), built
-    directly because the rotation validates a second angle of d + 2 maps,
-    which costs the most at large d, where this case is most frequent.
-    """
-    n = params.d + 2
-    head = indec(pos - params.period)
-    tail = indec(pos)
-    objects = (head,) + (ZERO_OBJ,) * (n - 2) + (tail,)
-    maps = [zero_mor(params, head, ZERO_OBJ)]
-    for _ in range(n - 3):
-        maps.append(zero_mor(params, ZERO_OBJ, ZERO_OBJ))
-    maps.append(zero_mor(params, ZERO_OBJ, tail))
-    maps.append(identity_mor(params, tail))
-    return Angle(params, objects, tuple(maps))
 
 
 def ar_angle_in(spec: SubcatSpec, pos: int) -> Angle:

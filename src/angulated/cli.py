@@ -341,6 +341,8 @@ def _cover(params, args):
 
 def _wide(params, args):
     if args.action == "list":
+        if args.spec is not None:
+            raise UsageError("wide list takes no spec argument")
         specs = wide.enumerate_wide(params)
         doc = {
             "params": params_doc(params),

@@ -105,7 +105,7 @@ def split_pos(params: FamilyParams, pos: int) -> tuple[int, int]:
 
 def join_pos(params: FamilyParams, shift: int, index: int) -> int:
     if not 1 <= index <= params.period:
-        raise ValueError(f"index must lie in [1, {params.period}], got {index}")
+        raise BadDistance(f"index {index} outside [1, {params.period}]")
     return shift * params.period + index
 
 
@@ -300,38 +300,37 @@ def shift_mor(mor: Morphism, r: int) -> Morphism:
     )
 
 
-def direct_sum_obj(a: SumObject, b: SumObject) -> SumObject:
-    return SumObject(a.summands + b.summands)
+def direct_sum_obj(first: SumObject, *rest: SumObject) -> SumObject:
+    return SumObject(first.summands + tuple(q for o in rest for q in o.summands))
 
 
-def direct_sum_mor(a: Morphism, b: Morphism) -> Morphism:
-    """Block diagonal sum, re-indexed along the canonical summand order."""
-    if a.params != b.params:
+def direct_sum_mor(first: Morphism, *rest: Morphism) -> Morphism:
+    """Block diagonal sum, re-indexed along the canonical summand order.
+
+    Each summand slot is tagged (position, block, index) and the tags are
+    sorted, so equal positions keep block order; an entry is copied exactly
+    when its row and column come from the same block.
+    """
+    mors = (first, *rest)
+    p = first.params
+    if any(m.params != p for m in rest):
         raise ShapeMismatch("morphisms live over different parameters")
-    p = a.params
-    src = direct_sum_obj(a.source, b.source)
-    tgt = direct_sum_obj(a.target, b.target)
-    # tag each summand slot with its origin before the canonical re-sort
     src_tags = sorted(
-        [(pos, 0, j) for j, pos in enumerate(a.source.summands)]
-        + [(pos, 1, j) for j, pos in enumerate(b.source.summands)]
+        (pos, b, j) for b, m in enumerate(mors) for j, pos in enumerate(m.source.summands)
     )
     tgt_tags = sorted(
-        [(pos, 0, i) for i, pos in enumerate(a.target.summands)]
-        + [(pos, 1, i) for i, pos in enumerate(b.target.summands)]
+        (pos, b, i) for b, m in enumerate(mors) for i, pos in enumerate(m.target.summands)
     )
-    ents = []
-    for (_, tside, ti) in tgt_tags:
-        row = []
-        for (_, sside, sj) in src_tags:
-            if tside == sside == 0:
-                row.append(a.entries[ti][sj])
-            elif tside == sside == 1:
-                row.append(b.entries[ti][sj])
-            else:
-                row.append(_ZERO)
-        ents.append(tuple(row))
-    return Morphism(p, src, tgt, tuple(ents))
+    ents = tuple(
+        tuple(mors[tb].entries[i][j] if tb == sb else _ZERO for _, sb, j in src_tags)
+        for _, tb, i in tgt_tags
+    )
+    return Morphism(
+        p,
+        direct_sum_obj(*(m.source for m in mors)),
+        direct_sum_obj(*(m.target for m in mors)),
+        ents,
+    )
 
 
 def is_radical(f: Morphism) -> bool:

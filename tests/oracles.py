@@ -4,10 +4,11 @@ The block-rank isomorphism oracle is shared with the verify suite and
 re-exported from there.  The Hom-exactness references select Hom spaces by
 walking the quiver and build the contravariant complex reversed and
 transposed, as the definition reads, instead of the library's single
-position-window kernel.
+position-window kernel.  `matching_connector` builds the partial-matching
+connectors that `extend` is tested on, from drawn pairs.
 """
 
-from angulated import linalg
+from angulated import Morphism, SumObject, linalg
 from angulated.verify import block_iso_oracle  # noqa: F401
 
 
@@ -29,6 +30,34 @@ def path_hom_dim(params, x, y):
         if vertex < y:
             stack.append((vertex + 1, steps + 1))
     return count
+
+
+def matching_connector(params, pairs, lone_sources, lone_targets):
+    """The connector with one cell c from source s to target t per pair (s, t, c).
+
+    Its nonzero cells form a partial matching of summands; the positions in
+    `lone_sources` and `lone_targets` add unmatched summands.  Positions may
+    repeat, and slots of equal position keep the order they are given in.
+    """
+    src = sorted(
+        [(s, k) for k, (s, _, _) in enumerate(pairs)] + [(s, None) for s in lone_sources],
+        key=lambda slot: slot[0],
+    )
+    tgt = sorted(
+        [(t, k) for k, (_, t, _) in enumerate(pairs)] + [(t, None) for t in lone_targets],
+        key=lambda slot: slot[0],
+    )
+    col = {k: j for j, (_, k) in enumerate(src) if k is not None}
+    ents = [[0] * len(src) for _ in tgt]
+    for i, (_, k) in enumerate(tgt):
+        if k is not None:
+            ents[i][col[k]] = pairs[k][2]
+    return Morphism(
+        params,
+        SumObject(tuple(s for s, _ in src)),
+        SumObject(tuple(t for t, _ in tgt)),
+        tuple(map(tuple, ents)),
+    )
 
 
 def angle_objects(params, a):

@@ -96,6 +96,13 @@ class TestDirectSum:
         s = direct_sum(a, trivial_angle(p449, indec(3)))
         assert check_hom_exactness(s).ok
 
+    def test_needs_one_angle_over_one_parameter_triple(self, p449, p223):
+        with pytest.raises(TypeError):
+            direct_sum()
+        a = trivial_angle(p449, indec(1))
+        with pytest.raises(ShapeMismatch):
+            direct_sum(a, a, trivial_angle(p223, indec(1)))
+
 
 class TestMinAngle:
     def test_golden_angle_ending_at_f10(self, p449):
@@ -189,10 +196,12 @@ class TestExtend:
         assert a.connecting == delta
         assert check_hom_exactness(a).ok
 
-    def test_entangled_connector_rejected(self, p449):
-        bad = Morphism(
-            p449, SumObject((10, 12)), indec(13), ((Fraction(1), Fraction(1)),)
-        )
+    @pytest.mark.parametrize("source, target, entries", [
+        ((10, 12), (13,), ((1, 1),)),
+        ((12,), (13, 14), ((1,), (1,))),
+    ], ids=["two sources into one target", "one source into two targets"])
+    def test_entangled_connector_rejected(self, p449, source, target, entries):
+        bad = Morphism(p449, SumObject(source), SumObject(target), entries)
         with pytest.raises(ShapeMismatch):
             extend(bad)
 

@@ -195,6 +195,14 @@ class TestJsonRoundTrip:
         emitted = json.dumps(angle_doc(a))
         assert json.dumps(angle_doc(doc_to_angle(json.loads(emitted)))) == emitted
 
+    def test_out_of_window_index_is_a_domain_error(self, p449):
+        from angulated import DomainError
+
+        doc = angle_doc(ar_angle(p449, 5))
+        doc["objects"][0][0]["index"] = 13
+        with pytest.raises(DomainError, match="outside"):
+            doc_to_angle(doc)
+
 
 class TestReadmeExamples:
     def test_every_documented_command_runs_as_shown(self, capsys):
@@ -303,6 +311,11 @@ class TestExitCodes:
         code, out, err = run(capsys, *ARGS449, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "BadDistance"
+
+    def test_wide_list_refuses_a_spec(self, capsys):
+        code, out, err = run(capsys, *ARGS449, "wide", "list", "1")
+        assert code == 2 and out == ""
+        assert "wide list takes no spec argument" in err
 
     def test_unparsable_spec_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, *ARGS449, "ar", "f1", "--sub", "1,x")

@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from angulated import (
+    BadDistance,
     ConstraintViolation,
     Morphism,
     ShapeMismatch,
@@ -66,6 +67,13 @@ class TestPositions:
             s, i = split_pos(p449, pos)
             assert 1 <= i <= p449.period
             assert join_pos(p449, s, i) == pos
+
+    @pytest.mark.parametrize("index", [0, 13])
+    def test_join_outside_the_window_is_bad_distance(self, p449, index):
+        # the out-of-window error of SubcatSpec and parse_object, still a ValueError
+        with pytest.raises(BadDistance, match=r"outside \[1, 12\]"):
+            join_pos(p449, 0, index)
+        assert issubclass(BadDistance, ValueError)
 
     def test_labels(self, p449):
         assert pos_label(p449, 5) == "f5"

@@ -6,15 +6,26 @@ subcommand and output format) before the CLI dispatch became a table of
 handlers; any change to a verdict, a detail string, a returned factor or
 the entry formatting changes a digest.  A deliberate
 change of output must update the digest in the same commit and say why.
+
+`test_extend_digest` pins the objects and entry matrices `extend` returns
+on 200 seeded partial-matching connectors.  It was taken after `extend`
+learnt to end in the connector it is given on a distance-0 cell and on
+equal positions whose order the block sum changes; the 101 connectors
+without a distance-0 cell gave the same angles before.
 """
 
 import contextlib
 import hashlib
 import io
+import random
+from fractions import Fraction
 
 import pytest
 
+from angulated import extend, validate_params
 from angulated.cli import main
+
+from oracles import matching_connector
 
 GOLDEN = [
     ((2, 2, 3), ("verify", "all"),
@@ -68,3 +79,42 @@ def test_stdout_digest(triple, argv, digest):
         code = main(["--d", str(d), "--l", str(l), "--m", str(m), *argv])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+EXTEND_TRIPLES = ((4, 4, 9), (2, 3, 4), (6, 3, 10), (10, 2, 11), (2, 6, 7))
+EXTEND_SCALARS = tuple(
+    sorted({Fraction(n, q) for n in range(-4, 5) if n for q in (1, 2, 3)})
+)
+EXTEND_DIGEST = "2c328382281a5b52e4f01627a85396e6cacd4e0c9f1bbc452e2956986d05c53b"
+
+
+def partial_matching(rng, p):
+    """1-3 matched pairs s -> s + D (0 <= D <= l - 1) and 0-2 unmatched
+    summands on each side, over +-2 periods; positions may repeat."""
+    span = 2 * p.period
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        s = rng.randint(-span, span)
+        pairs.append((s, s + rng.randint(0, p.l - 1), rng.choice(EXTEND_SCALARS)))
+    lone_sources = [rng.randint(-span, span) for _ in range(rng.randint(0, 2))]
+    lone_targets = [rng.randint(-span, span) for _ in range(rng.randint(0, 2))]
+    return matching_connector(p, pairs, lone_sources, lone_targets)
+
+
+def extend_transcript() -> str:
+    """Objects and entry matrices of `extend` on 200 seeded connectors."""
+    rng = random.Random(1803_07002)
+    lines = []
+    for n in range(200):
+        p = validate_params(*EXTEND_TRIPLES[n % len(EXTEND_TRIPLES)])
+        a = extend(partial_matching(rng, p))
+        lines.append(repr([o.summands for o in a.objects]))
+        lines.extend(
+            repr([[str(e) for e in row] for row in m.entries]) for m in a.maps
+        )
+    return "\n".join(lines)
+
+
+def test_extend_digest():
+    got = hashlib.sha256(extend_transcript().encode()).hexdigest()
+    assert got == EXTEND_DIGEST

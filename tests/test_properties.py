@@ -19,7 +19,9 @@ from angulated import (
     cover,
     d_cokernel,
     d_exact_seq,
+    direct_sum,
     enumerate_wide,
+    extend,
     hom_dim,
     is_ar_angle,
     is_cover,
@@ -34,12 +36,18 @@ from angulated import (
     shift_mor,
     split_pos,
     theorem_b_check,
+    trivial_angle,
     validate_params,
 )
 from angulated.angles import FLevelChain
-from angulated.core import left_factor, right_factor
+from angulated.core import direct_sum_mor, left_factor, right_factor, scale
 
-from oracles import block_iso_oracle, d_cokernel_reference, d_exact_reference
+from oracles import (
+    block_iso_oracle,
+    d_cokernel_reference,
+    d_exact_reference,
+    matching_connector,
+)
 
 TRIPLES = [(2, 2, 3), (2, 3, 4), (4, 4, 9), (2, 4, 5), (4, 2, 5), (6, 2, 7)]
 PARAMS = [validate_params(*t) for t in TRIPLES]
@@ -108,8 +116,6 @@ def test_min_angle_shape_and_exactness(p, i, data):
     delta = data.draw(st.integers(1, p.l - 1))
     scalar = data.draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 5)]))
     mu = basis_mor(p, i, i + delta)
-    from angulated.core import scale
-
     a = min_angle(scale(mu, scalar))
     gaps = [y.summands[0] - x.summands[0] for x, y in zip(a.objects, a.objects[1:])]
     assert gaps == [delta if k % 2 == 0 else p.l - delta for k in range(p.d + 1)]
@@ -253,3 +259,68 @@ def test_d_exact_matches_two_sided_reference(p, data):
     chain = d_exact_seq(p, *_window_pair(data, p))
     chain = FLevelChain(p, "exact", *_perturbed_chain(data, p, chain.objects, chain.maps))
     assert check_d_exact(chain) == d_exact_reference(chain)
+
+
+def _draw_block(data, p):
+    """A minimal or trivial angle near the window, possibly shifted.
+
+    Positions come from a range of width about 2l, so blocks drawn for one
+    sum often share positions.
+    """
+    x = data.draw(st.integers(0, p.l))
+    c = data.draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 5)]))
+    if data.draw(st.booleans()):
+        dist = data.draw(st.integers(1, p.l - 1))
+        a = min_angle(scale(basis_mor(p, x, x + dist), c))
+    else:
+        a = trivial_angle(p, _draw_sum(data, p), c)
+    return shift_angle(a, data.draw(st.integers(-1, 1)))
+
+
+@given(params_st, st.data())
+@settings(max_examples=60, deadline=None)
+def test_direct_sum_is_the_pairwise_fold(p, data):
+    blocks = [_draw_block(data, p) for _ in range(data.draw(st.integers(1, 4)))]
+    fold = blocks[0]
+    for b in blocks[1:]:
+        fold = direct_sum(fold, b)
+    assert direct_sum(*blocks) == fold
+
+
+@given(small_params_st, st.data())
+@settings(max_examples=60, deadline=None)
+def test_direct_sum_mor_is_the_pairwise_fold(p, data):
+    mors = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        src, tgt = _draw_sum(data, p), _draw_sum(data, p)
+        mors.append(_draw_mor(data, p, src, tgt))
+    fold = mors[0]
+    for g in mors[1:]:
+        fold = direct_sum_mor(fold, g)
+    assert direct_sum_mor(*mors) == fold
+
+
+_SCALARS_ST = st.sampled_from(
+    sorted({Fraction(n, q) for n in range(-4, 5) if n for q in (1, 2, 3)})
+)
+
+
+def _draw_connector(data, p):
+    """1-3 matched pairs s -> s + D (0 <= D <= l - 1) with scalars n/q, and
+    0-2 unmatched summands on each side; positions may repeat."""
+    pos_st = st.integers(-p.period, p.period)
+    pairs = [
+        (s, s + data.draw(st.integers(0, p.l - 1)), data.draw(_SCALARS_ST))
+        for s in data.draw(st.lists(pos_st, min_size=1, max_size=3))
+    ]
+    lone = st.lists(pos_st, max_size=2)
+    return matching_connector(p, pairs, data.draw(lone), data.draw(lone))
+
+
+@given(params_st, st.data())
+@settings(max_examples=60, deadline=None)
+def test_extend_realises_every_partial_matching(p, data):
+    delta = _draw_connector(data, p)
+    a = extend(delta)
+    assert a.connecting == delta
+    assert check_hom_exactness(a).ok
