@@ -18,6 +18,7 @@ transposes its matrices, which changes no rank and no vanishing of a
 composite, so its exactness is tested in chain order too.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,36 +80,39 @@ class Angle:
         return self.maps[-1]
 
 
+def _contractible(params: FamilyParams, y: SumObject, k: int, c=1):
+    """Objects and maps of the contractible chain with c*id_y in slot k.
+
+    Slot k is the map objects[k] -> objects[k+1], so objects[k] and
+    objects[k+1] are y; for k = d + 1 the map is the connector and
+    objects[0] is shift(y, -1).  Every other object and map is zero.
+    """
+    n = params.d + 2
+    objects = [ZERO_OBJ] * n
+    objects[k] = y
+    objects[(k + 1) % n] = y if k + 1 < n else shift_obj(params, y, -1)
+    targets = objects[1:] + [shift_obj(params, objects[0], 1)]
+    maps = tuple(
+        scale(identity_mor(params, y), c) if s == k else zero_mor(params, src, tgt)
+        for s, (src, tgt) in enumerate(zip(objects, targets))
+    )
+    return tuple(objects), maps
+
+
 def trivial_angle(params: FamilyParams, x: SumObject, c=1) -> Angle:
     """x --c*id--> x -> 0 -> ... -> 0 -> shift(x); contractible for c != 0."""
-    n = params.d + 2
-    objects = (x, x) + (ZERO_OBJ,) * (n - 2)
-    maps = [scale(identity_mor(params, x), c), zero_mor(params, x, ZERO_OBJ)]
-    for _ in range(n - 3):
-        maps.append(zero_mor(params, ZERO_OBJ, ZERO_OBJ))
-    maps.append(zero_mor(params, ZERO_OBJ, shift_obj(params, x, 1)))
-    return Angle(params, objects, tuple(maps))
+    return Angle(params, *_contractible(params, x, 0, c))
 
 
 def _degenerate_angle(params: FamilyParams, pos: int, c=1) -> Angle:
     """shift(x, -1) -> 0 -> ... -> 0 -> x with connecting map c*id on x = f_pos.
 
     This is rotate_left(trivial_angle(params, indec(pos - period), c)),
-    built directly because the rotation validates a second angle of d + 2
-    maps, which costs the most at large d.  It is the AR angle of a
-    subcategory in the degenerate case, and the block of `extend` on a
-    distance-0 connector cell.
+    built directly as the contractible chain with c*id in the connector
+    slot, because the rotation validates a second angle of d + 2 maps.  It
+    is the AR angle of a subcategory in the degenerate case.
     """
-    n = params.d + 2
-    head = indec(pos - params.period)
-    tail = indec(pos)
-    objects = (head,) + (ZERO_OBJ,) * (n - 2) + (tail,)
-    maps = [zero_mor(params, head, ZERO_OBJ)]
-    for _ in range(n - 3):
-        maps.append(zero_mor(params, ZERO_OBJ, ZERO_OBJ))
-    maps.append(zero_mor(params, ZERO_OBJ, tail))
-    maps.append(scale(identity_mor(params, tail), c))
-    return Angle(params, objects, tuple(maps))
+    return Angle(params, *_contractible(params, indec(pos), params.d + 1, c))
 
 
 def rotate_left(a: Angle) -> Angle:
@@ -119,11 +123,16 @@ def rotate_left(a: Angle) -> Angle:
     return Angle(p, objects, maps)
 
 
+def _turned_right(params: FamilyParams, objects, maps):
+    """Objects and maps of a chain rotated one slot to the right."""
+    return (
+        (shift_obj(params, objects[-1], -1),) + objects[:-1],
+        (shift_mor(maps[-1], -1),) + maps[:-1],
+    )
+
+
 def rotate_right(a: Angle) -> Angle:
-    p = a.params
-    objects = (shift_obj(p, a.objects[-1], -1),) + a.objects[:-1]
-    maps = (shift_mor(a.maps[-1], -1),) + a.maps[:-1]
-    return Angle(p, objects, maps)
+    return Angle(a.params, *_turned_right(a.params, a.objects, a.maps))
 
 
 def shift_angle(a: Angle, r: int) -> Angle:
@@ -135,15 +144,19 @@ def shift_angle(a: Angle, r: int) -> Angle:
     )
 
 
+def _summed(chains):
+    """Slot-wise direct sum of (objects, maps) chains, not yet validated."""
+    objects = tuple(direct_sum_obj(*objs) for objs in zip(*(o for o, _ in chains)))
+    maps = tuple(direct_sum_mor(*mors) for mors in zip(*(m for _, m in chains)))
+    return objects, maps
+
+
 def direct_sum(first: Angle, *rest: Angle) -> Angle:
     """Slot-wise direct sum of one or more angles, validated once.
 
     Angles over different parameters raise ShapeMismatch in direct_sum_mor.
     """
-    angles = (first, *rest)
-    objects = tuple(direct_sum_obj(*objs) for objs in zip(*(a.objects for a in angles)))
-    maps = tuple(direct_sum_mor(*mors) for mors in zip(*(a.maps for a in angles)))
-    return Angle(first.params, objects, maps)
+    return Angle(first.params, *_summed([(a.objects, a.maps) for a in (first, *rest)]))
 
 
 def _single_entry(mor: Morphism) -> Fraction | None:
@@ -152,27 +165,12 @@ def _single_entry(mor: Morphism) -> Fraction | None:
     return None
 
 
-def min_angle(mu: Morphism) -> Angle:
-    """The unique angle on mu with all middle maps in the radical.
-
-    mu must be a nonzero morphism between single vertices.  For distance
-    D in [1, l-1] the objects sit at the positions target - r*l and
-    source - r*l for 0 <= r <= d/2, sorted increasingly, with mu occupying
-    the last slot before the connecting map; the connecting map is the
-    basis morphism of distance l - D.  Distance 0 yields the contractible
-    angle on the isomorphism mu.
-    """
+def _min_chain(mu: Morphism):
+    """Objects and maps of the minimal angle on mu: u(x -> y) scaled, 1 <= y - x <= l - 1."""
     p = mu.params
-    entry = _single_entry(mu)
-    if entry is None or entry == 0:
-        raise BadDistance("min_angle needs a nonzero morphism between single vertices")
     x = mu.source.summands[0]
     y = mu.target.summands[0]
     delta = y - x
-    if delta >= p.l or delta < 0:
-        raise BadDistance(f"distance {delta} admits no nonzero morphism")
-    if delta == 0:
-        return trivial_angle(p, mu.source, entry)
     half = p.d // 2
     positions = sorted(
         [y - r * p.l for r in range(half + 1)] + [x - r * p.l for r in range(half + 1)]
@@ -190,7 +188,29 @@ def min_angle(mu: Morphism) -> Angle:
     ]
     maps[-1] = mu  # slot (X^d -> X^{d+1})
     maps.append(basis_mor(p, positions[-1], positions[0] + p.period))
-    return Angle(p, objects, tuple(maps))
+    return objects, tuple(maps)
+
+
+def min_angle(mu: Morphism) -> Angle:
+    """The unique angle on mu with all middle maps in the radical.
+
+    mu must be a nonzero morphism between single vertices.  For distance
+    D in [1, l-1] the objects sit at the positions target - r*l and
+    source - r*l for 0 <= r <= d/2, sorted increasingly, with mu occupying
+    the last slot before the connecting map; the connecting map is the
+    basis morphism of distance l - D.  Distance 0 yields the contractible
+    angle on the isomorphism mu.
+    """
+    p = mu.params
+    entry = _single_entry(mu)
+    if entry is None or entry == 0:
+        raise BadDistance("min_angle needs a nonzero morphism between single vertices")
+    delta = mu.target.summands[0] - mu.source.summands[0]
+    if delta >= p.l or delta < 0:
+        raise BadDistance(f"distance {delta} admits no nonzero morphism")
+    if delta == 0:
+        return trivial_angle(p, mu.source, entry)
+    return Angle(p, *_min_chain(mu))
 
 
 def extend(delta: Morphism) -> Angle:
@@ -198,13 +218,15 @@ def extend(delta: Morphism) -> Angle:
 
     The support of `delta` must be a partial matching of summands (no row
     or column with two nonzero cells); otherwise ShapeMismatch.  The angle
-    is the direct sum, taken once, of these blocks in this order: per
-    nonzero cell e from source vertex y to target vertex x, row by row,
-    the right rotation of the minimal angle on e*u(y -> x), or for x = y
-    shift(x, -1) -> 0 -> ... -> 0 -> x ending in e*id; per target summand
-    x without a cell, the trivial angle on shift(x, -1); per source summand
-    y without a cell, the trivial angle on shift(y, -1) rotated left twice.
-    Both of the last two have connector zero.
+    is the direct sum of these blocks in this order: per nonzero cell e
+    from source vertex y to target vertex x, row by row, the minimal chain
+    on e*u(y -> x) turned right, or for x = y the contractible chain with
+    e*id_x in the connector slot; per target summand x without a cell, the
+    contractible chain with id in slot 0 on shift(x, -1); per source
+    summand y without a cell, the one with id in slot d on y.  Both of the
+    last two have connector zero.  The blocks are plain chains and only
+    their sum is validated: it is block diagonal, so its composites vanish
+    exactly when every block's do, and one Angle is built per call.
     """
     p = delta.params
     src, tgt = delta.source.summands, delta.target.summands
@@ -216,37 +238,35 @@ def extend(delta: Morphism) -> Angle:
         raise ShapeMismatch("connector support must be a partial matching")
     lone_rows = [i for i in range(len(tgt)) if i not in rows]
     lone_cols = [j for j in range(len(src)) if j not in cols]
-    blocks = [
-        rotate_right(min_angle(Morphism(p, indec(src[j]), indec(tgt[i]), ((e,),))))
+    chains = [
+        _turned_right(p, *_min_chain(Morphism(p, indec(src[j]), indec(tgt[i]), ((e,),))))
         if src[j] != tgt[i]
-        else _degenerate_angle(p, src[j], e)  # min_angle puts an iso in slot 0
+        else _contractible(p, indec(src[j]), p.d + 1, e)  # min_angle puts an iso in slot 0
         for i, j, e in cells
     ]
-    blocks += [trivial_angle(p, indec(tgt[i] - p.period)) for i in lone_rows]
-    blocks += [
-        rotate_left(rotate_left(trivial_angle(p, indec(src[j] - p.period))))
-        for j in lone_cols
-    ]
-    if not blocks:
+    chains += [_contractible(p, indec(tgt[i] - p.period), 0) for i in lone_rows]
+    chains += [_contractible(p, indec(src[j]), p.d) for j in lone_cols]
+    if not chains:
         return trivial_angle(p, ZERO_OBJ)
-    a = direct_sum(*blocks)
-    if a.connecting == delta:
-        return a
-    # The sum orders equal positions by block: row k of its connector is
-    # row row_at[k] of delta and column k is column col_at[k].  Permuting
-    # the columns of maps[0] and the rows of maps[d] back is an isomorphism
-    # of angles (only equal positions trade places) onto one ending in delta.
-    row_at = sorted(rows + lone_rows, key=tgt.__getitem__)
-    col_at = sorted(cols + lone_cols, key=src.__getitem__)
-    row_back = sorted(range(len(tgt)), key=row_at.__getitem__)
-    col_back = sorted(range(len(src)), key=col_at.__getitem__)
-    m0, md = a.maps[0], a.maps[p.d]
-    m0 = Morphism(
-        p, m0.source, m0.target,
-        tuple(tuple(row[k] for k in row_back) for row in m0.entries),
-    )
-    md = Morphism(p, md.source, md.target, tuple(md.entries[k] for k in col_back))
-    return Angle(p, a.objects, (m0, *a.maps[1:p.d], md, delta))
+    objects, maps = _summed(chains)
+    if maps[-1] != delta:
+        # The sum orders equal positions by block: row k of its connector is
+        # row row_at[k] of delta and column k is column col_at[k].  Permuting
+        # the columns of maps[0] and the rows of maps[d] back is an
+        # isomorphism of chains (only equal positions trade places) onto one
+        # ending in delta.
+        row_at = sorted(rows + lone_rows, key=tgt.__getitem__)
+        col_at = sorted(cols + lone_cols, key=src.__getitem__)
+        row_back = sorted(range(len(tgt)), key=row_at.__getitem__)
+        col_back = sorted(range(len(src)), key=col_at.__getitem__)
+        m0, md = maps[0], maps[p.d]
+        m0 = Morphism(
+            p, m0.source, m0.target,
+            tuple(tuple(row[k] for k in row_back) for row in m0.entries),
+        )
+        md = Morphism(p, md.source, md.target, tuple(md.entries[k] for k in col_back))
+        maps = (m0, *maps[1:p.d], md, delta)
+    return Angle(p, objects, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +352,12 @@ def _inexact_slots(objects, entries, lo: int, hi: int, slots) -> list[int]:
     both functors take the same test at each slot s, in chain order:
     rank(in) + rank(out) = dim together with out o in = 0.  A slot whose
     window space is zero is exact; each nonempty cut-down map is ranked once.
+    Summands are sorted, so the ones an object keeps are the index range
+    that bisection finds, and no summand outside the window is looked at.
     """
-    keep = [[k for k, q in enumerate(o.summands) if lo <= q <= hi] for o in objects]
+    keep = [
+        range(bisect_left(o.summands, lo), bisect_right(o.summands, hi)) for o in objects
+    ]
     # cuts[s] is the map into slot s and cuts[s + 1] the map out of it
     cuts = [
         None,

@@ -12,10 +12,14 @@ domain error `BadDistance`.  `verify` exits 1 when a check fails.
 
 Each subcommand is one handler that returns its JSON document and its
 text rendering; the parser attaches it to the subcommand's subparser, and
-`_run` prints the one the format asks for.
+`_run` prints the one the format asks for.  The parser is built once per
+process, on the first `main` call: parsing leaves it unchanged, and every
+setting a call reads from flags or a config file lives in that call's own
+namespace, so no call sees another's.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -198,6 +202,7 @@ def _read_config(path: str) -> dict:
     return out
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="angulated",

@@ -4,11 +4,13 @@ The block-rank isomorphism oracle is shared with the verify suite and
 re-exported from there.  The Hom-exactness references select Hom spaces by
 walking the quiver and build the contravariant complex reversed and
 transposed, as the definition reads, instead of the library's single
-position-window kernel.  `matching_connector` builds the partial-matching
-connectors that `extend` is tested on, from drawn pairs.
+position-window kernel; `hom_exactness_reference` extends an angle by
+shifted Morphisms instead of reusing its entry matrices.
+`matching_connector` builds the partial-matching connectors that `extend`
+is tested on, from drawn pairs.
 """
 
-from angulated import Morphism, SumObject, linalg
+from angulated import Morphism, SumObject, linalg, shift_mor
 from angulated.verify import block_iso_oracle  # noqa: F401
 
 
@@ -135,4 +137,26 @@ def d_exact_reference(chain):
         hom_from_inexact_slots(p, objects, maps, t, range(n - 1))
         or hom_into_inexact_slots(p, objects, maps, t, range(1, n))
         for t in range(1, p.period + 1)
+    )
+
+
+def hom_exactness_reference(a):
+    """The (vertex, slot) failures of every Hom(t, -) across the angle.
+
+    The angle is extended by one period on each side with `shift_mor`, as
+    the infinite sequence reads, and each test vertex t in [min position -
+    period - l + 1, max position + period] walks the quiver for its Hom
+    spaces; the failures come in the order of t, then of the slot.
+    """
+    p = a.params
+    positions = [q for o in a.objects for q in o.summands]
+    if not positions:
+        return ()
+    maps = [shift_mor(m, r) for r in (-1, 0, 1) for m in a.maps][:-1]
+    objects = [m.source for m in maps] + [maps[-1].target]
+    slots = range(1, len(objects) - 1)
+    return tuple(
+        (t, s)
+        for t in range(min(positions) - p.period - p.l + 1, max(positions) + p.period + 1)
+        for s in hom_from_inexact_slots(p, objects, maps, t, slots)
     )

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,12 +30,13 @@ from angulated import (
     shift_angle,
     shift_mor,
     trivial_angle,
+    validate_params,
     zero_mor,
 )
 from angulated import linalg
 from angulated.core import scale
 
-from oracles import angle_objects
+from oracles import angle_objects, matching_connector
 
 
 class TestTrivialAngle:
@@ -204,6 +206,36 @@ class TestExtend:
         bad = Morphism(p449, SumObject(source), SumObject(target), entries)
         with pytest.raises(ShapeMismatch):
             extend(bad)
+
+    def test_validates_one_angle_per_call(self, monkeypatch, p223):
+        # the blocks are plain chains; only the returned sum is an Angle,
+        # also when equal positions are permuted back into delta's order
+        rng = random.Random(8)
+        connectors = [
+            matching_connector(p223, [(0, 1, 1), (0, 0, 1)], [], []),  # permuted
+            zero_mor(p223, ZERO_OBJ, ZERO_OBJ),
+        ]
+        for triple in ((2, 2, 3), (4, 4, 9), (6, 3, 10), (10, 2, 11)):
+            p = validate_params(*triple)
+            for _ in range(25):
+                pairs = []
+                for _ in range(rng.randint(1, 3)):
+                    s = rng.randint(-p.period, p.period)
+                    pairs.append((s, s + rng.randint(0, p.l - 1), rng.choice((1, -2))))
+                lone = [rng.randint(-p.period, p.period) for _ in range(rng.randint(0, 3))]
+                connectors.append(matching_connector(p, pairs, lone[:1], lone[1:]))
+        built = []
+        post_init = Angle.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Angle, "__post_init__", counting)
+        for delta in connectors:
+            built.clear()
+            a = extend(delta)
+            assert len(built) == 1 and built[0] is a and a.connecting == delta
 
 
 class TestWindowChains:

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import os
 import subprocess
@@ -350,3 +352,90 @@ class TestConfigFile:
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, "--config", str(tmp_path / "nope.cfg"), "params")
         assert code == 2
+
+
+class TestParserBuiltOnce:
+    """`main` builds its parser on the first call and reuses it after."""
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        run(capsys, *ARGS449, "hom", "f1", "f3")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        code, out, _ = run(capsys, *ARGS449, "hom", "f1", "f3")
+        assert code == 0 and json.loads(out)["dim"] == 1
+        assert built == []
+
+    def test_usage_error_and_help_do_not_change_the_next_call(self, capsys):
+        argv = (*ARGS449, "--format", "text", "ar", "f9", "--sub", "1,5,9")
+        code, _, _ = run(capsys, *ARGS449, "hom", "foo", "f1")
+        assert code == 2
+        code, _, _ = run(capsys, "--help")
+        assert code == 0
+        got = run(capsys, *argv)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        fresh = subprocess.run(
+            [sys.executable, "-m", "angulated.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    def test_config_settings_do_not_leak(self, capsys, tmp_path):
+        cfg = tmp_path / "family.cfg"
+        cfg.write_text("d=2\nl=2\nm=3\nformat=text\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "params")
+        assert code == 0 and out.strip() == "d=2 l=2 m=3 period=4"
+        code, out, err = run(capsys, "params")
+        assert code == 2 and out == ""
+        assert "parameters --d, --l, --m are required" in err
+        code, out, _ = run(capsys, *ARGS449, "params")
+        assert code == 0
+        assert json.loads(out) == {"d": 4, "l": 4, "m": 9, "period": 12}
+
+
+GARBAGE_CALLS = [
+    ("params",),
+    ("hom", "f1", "f3"),
+    ("compose", "f1", "f2", "f3"),
+    ("angle", "f1", "f3"),
+    ("dkernel", "3", "6"),
+    ("dcokernel", "3", "6"),
+    ("dexact", "2", "4"),
+    ("ar", "f5"),
+    ("ar", "f9", "--sub", "1,5,9"),
+    ("cover", "f7", "--sub", "1,5,9"),
+    ("wide", "list"),
+    ("wide", "check", "1,2,5,6,9,10"),
+    ("quiver", "--from", "f1", "--to", "f6"),
+    ("--format", "dot", "quiver"),
+    ("--format", "text", "verify", "core"),
+    # domain errors, exit 1
+    ("angle", "f1", "f5"),
+    ("hom", "f13", "f1"),
+    ("ar", "f1", "--sub", "1,2"),
+    ("cover", "f7", "--sub", "13"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", GARBAGE_CALLS, ids=[" ".join(a) for a in GARBAGE_CALLS]
+)
+def test_main_leaves_no_cyclic_garbage(capsys, argv):
+    # the 2,2,3 triple keeps `verify core` small; the rest run at 4,4,9
+    prefix = ("--d", "2", "--l", "2", "--m", "3") if "verify" in argv else ARGS449
+    run(capsys, *prefix, *argv)  # warm-up: first-use caches are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        main([*prefix, *argv])
+        found = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert found == 0

@@ -6,6 +6,7 @@ from itertools import product
 from hypothesis import assume, given, settings, strategies as st
 
 from angulated import (
+    Angle,
     Morphism,
     SubcatSpec,
     SumObject,
@@ -26,6 +27,8 @@ from angulated import (
     is_ar_angle,
     is_cover,
     is_right_minimal,
+    is_split_epi,
+    is_split_mono,
     is_wide,
     is_wide_oracle,
     join_pos,
@@ -38,6 +41,7 @@ from angulated import (
     theorem_b_check,
     trivial_angle,
     validate_params,
+    zero_mor,
 )
 from angulated.angles import FLevelChain
 from angulated.core import direct_sum_mor, left_factor, right_factor, scale
@@ -46,6 +50,7 @@ from oracles import (
     block_iso_oracle,
     d_cokernel_reference,
     d_exact_reference,
+    hom_exactness_reference,
     matching_connector,
 )
 
@@ -324,3 +329,33 @@ def test_extend_realises_every_partial_matching(p, data):
     a = extend(delta)
     assert a.connecting == delta
     assert check_hom_exactness(a).ok
+
+
+@given(params_st, st.data())
+@settings(max_examples=80, deadline=None)
+def test_hom_exactness_matches_shifted_morphism_reference(p, data):
+    # about half of the drawn angles have one map zeroed, and most of those
+    # fail somewhere, so the failures tuples are compared, not just `ok`
+    a = extend(_draw_connector(data, p))
+    k = data.draw(st.integers(0, 2 * len(a.maps) - 1))
+    if k < len(a.maps):
+        maps = list(a.maps)
+        maps[k] = zero_mor(p, maps[k].source, maps[k].target)
+        a = Angle(p, a.objects, tuple(maps))
+    assert check_hom_exactness(a).failures == hom_exactness_reference(a)
+
+
+@given(factor_params_st, st.data())
+@settings(max_examples=100, deadline=None)
+def test_split_both_ways_is_the_block_iso_oracle(p, data):
+    # sums of up to 4 vertices; the target is a permutation of the source
+    # half of the time, so isomorphisms and near misses are both drawn
+    positions = data.draw(st.lists(st.integers(0, p.l), min_size=1, max_size=4))
+    src = SumObject(tuple(positions))
+    if data.draw(st.booleans()):
+        tgt = src
+    else:
+        tgt = SumObject(tuple(data.draw(
+            st.lists(st.integers(0, p.l), min_size=1, max_size=4))))
+    f = _draw_mor(data, p, src, tgt)
+    assert (is_split_epi(f) and is_split_mono(f)) == block_iso_oracle(f)
