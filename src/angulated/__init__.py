@@ -56,6 +56,7 @@ from .angles import (
 from .wide import (
     SubcatSpec,
     bar,
+    closure_rules,
     empty_spec,
     enumerate_wide,
     full_spec,
@@ -63,6 +64,9 @@ from .wide import (
     is_semisimple_wide,
     is_wide,
     is_wide_oracle,
+    models,
+    periodic_rules,
+    semisimple_rules,
     unbar,
     wide_oracle_witness,
 )

@@ -92,8 +92,11 @@ def _contractible(params: FamilyParams, y: SumObject, k: int, c=1):
     objects[k] = y
     objects[(k + 1) % n] = y if k + 1 < n else shift_obj(params, y, -1)
     targets = objects[1:] + [shift_obj(params, objects[0], 1)]
+    zero = zero_mor(params, ZERO_OBJ, ZERO_OBJ)  # immutable, so shared by its slots
     maps = tuple(
-        scale(identity_mor(params, y), c) if s == k else zero_mor(params, src, tgt)
+        scale(identity_mor(params, y), c) if s == k
+        else zero if src == tgt == ZERO_OBJ
+        else zero_mor(params, src, tgt)
         for s, (src, tgt) in enumerate(zip(objects, targets))
     )
     return tuple(objects), maps

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +238,32 @@ class TestExtend:
             built.clear()
             a = extend(delta)
             assert len(built) == 1 and built[0] is a and a.connecting == delta
+
+    def test_morphisms_built_on_the_session_gate_connectors(self, monkeypatch):
+        # The 100 `exactness` requests of the query-session gate seed, each
+        # a connector and its `extend`.  A contractible block shares one
+        # 0 -> 0 map among its zero slots; 201 blocks need one.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "session.py"
+        spec = importlib.util.spec_from_file_location("gate_session", path)
+        session = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(session)
+        requests = [
+            (validate_params(*triple), payload)
+            for kind, triple, payload in session.take(session.GATE_SEED, session.GATE_REQUESTS)
+            if kind == "exactness"
+        ]
+        assert len(requests) == 100
+        built = [0]
+        post_init = Morphism.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Morphism, "__post_init__", counting)
+        for p, (src, tgt, ents) in requests:
+            extend(Morphism(p, SumObject(src), SumObject(tgt), ents))
+        assert built[0] == 3341
 
 
 class TestWindowChains:

@@ -1,13 +1,17 @@
 """The verify suites: each oracle verdict reaches exactly the checks built on it."""
 
+import time
+
 import pytest
 
-from angulated import artheory, enumerate_wide, validate_params, verify
+from angulated import artheory, enumerate_wide, validate_params, verify, wide
 
 SUB_AR = "subcategory AR angles pass the definition oracle"
 COVER = "covers verified by the raw cover test"
 THEOREM_B = "cover <-> AR angle equivalence holds throughout"
 SPLIT = "split epi + split mono iff iso (brute force)"
+ENUM = "enumeration equals the power-set filter"
+ORACLE = "classification agrees with the closure oracle"
 
 
 def _negate(fn):
@@ -26,6 +30,71 @@ def test_wrong_oracle_fails_exactly_its_checks(monkeypatch, module, name, failin
     p = validate_params(2, 2, 3)
     monkeypatch.setattr(module, name, _negate(getattr(module, name)))
     assert {c.name for c in verify.verify_all(p) if not c.ok} == failing
+
+
+def _edited(rules, edit):
+    return lambda params, members: (edit(r) for r in rules(params, members))
+
+
+def _shift_first_middle(rule):
+    given, then = rule
+    return given, (then[0] + 1,) + then[1:]
+
+
+def _drop_last_member(rule):
+    given, then = rule
+    return given, then[:-1]
+
+
+# A wrong periodic rule changes the classification, which both checks read.
+@pytest.mark.parametrize(
+    "name, edit, failing",
+    [
+        ("closure_rules", _shift_first_middle, {ORACLE}),
+        ("periodic_rules", _drop_last_member, {ENUM, ORACLE}),
+    ],
+)
+def test_wrong_rule_fails_exactly_its_checks(monkeypatch, p234, name, edit, failing):
+    original = getattr(wide, name)
+    planted = _edited(original, edit)
+    assert wide.models(p234, planted) != wide.models(p234, original)
+    monkeypatch.setattr(wide, name, planted)
+    assert {c.name for c in verify.verify_all(p234) if not c.ok} == failing
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 4), (4, 4, 9), (2, 6, 7), (6, 3, 10), (10, 2, 11)])
+def test_a_dropped_middle_is_brought_by_another_rule(monkeypatch, triple):
+    # The pair (src, tgt) brings tgt - l; the pair (tgt - l, src), at
+    # distance l - (tgt - src), brings src - l again, and so on down the
+    # middles.  So dropping any one middle from every closure rule leaves
+    # the model family, and with it every check, as it was.
+    p = validate_params(*triple)
+    original = wide.closure_rules
+    family = wide.models(p, original)
+    for k in range(p.d):
+        planted = _edited(original, lambda r: (r[0], r[1][:k] + r[1][k + 1:]))
+        assert wide.models(p, planted) == family
+        monkeypatch.setattr(wide, "closure_rules", planted)
+        assert all(c.ok for c in verify.verify_wide(p))
+
+
+def test_enumeration_losing_a_spec_fails_exactly_its_check(monkeypatch, p234):
+    specs = enumerate_wide(p234)
+    lost = specs[len(specs) // 2]
+    assert lost.indices not in ((), tuple(range(1, p234.period + 1)))
+    monkeypatch.setattr(wide, "enumerate_wide", lambda params: [s for s in specs if s != lost])
+    assert {c.name for c in verify.verify_all(p234) if not c.ok} == {ENUM}
+
+
+def test_verify_wide_at_period_24_needs_no_power_set_walk():
+    # 2^24 subsets would take minutes to filter; the rule search lists the
+    # 4,120 wide specs in well under a second on one core
+    p = validate_params(2, 12, 13)
+    start = time.perf_counter()
+    checks = verify.verify_wide(p)
+    assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
+    assert len(enumerate_wide(p)) == 4120
+    assert time.perf_counter() - start < 30
 
 
 def test_ar_suite_asks_each_oracle_once_per_member(monkeypatch, p449):

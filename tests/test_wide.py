@@ -1,10 +1,13 @@
+from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from angulated import (
     SubcatSpec,
     bar,
+    closure_rules,
     empty_spec,
     enumerate_wide,
     full_spec,
@@ -14,7 +17,11 @@ from angulated import (
     is_wide,
     is_wide_oracle,
     join_pos,
+    models,
+    periodic_rules,
+    semisimple_rules,
     unbar,
+    validate_params,
     wide_oracle_witness,
 )
 
@@ -174,3 +181,84 @@ class TestSpecWindow:
             SubcatSpec(p449, (1, index))
         with pytest.raises(ValueError):  # library callers see no change
             SubcatSpec(p449, (index,))
+
+
+# the two small triples and the four verify-ladder triples (periods 4..12)
+RULE_TRIPLES = [(2, 2, 3), (2, 3, 4), (4, 4, 9), (2, 6, 7), (6, 3, 10), (10, 2, 11)]
+
+
+@cache
+def power_set(triple) -> tuple:
+    p = validate_params(*triple)
+    return tuple(
+        SubcatSpec(p, s)
+        for n in range(p.period + 1)
+        for s in combinations(range(1, p.period + 1), n)
+    )
+
+
+def power_set_filter(triple, pred) -> list:
+    return sorted(sp.indices for sp in power_set(triple) if pred(sp))
+
+
+class TestRuleModels:
+    """Each rule family's models are the power-set filter of its predicate."""
+
+    @pytest.mark.parametrize("triple", RULE_TRIPLES)
+    @pytest.mark.parametrize(
+        "rules, pred",
+        [
+            (semisimple_rules, is_semisimple_wide),
+            (periodic_rules, is_l_periodic),
+            (closure_rules, is_wide_oracle),
+        ],
+        ids=["semisimple", "periodic", "closure"],
+    )
+    def test_models_equal_the_power_set_filter(self, triple, rules, pred):
+        p = validate_params(*triple)
+        assert models(p, rules) == power_set_filter(triple, pred)
+
+    @pytest.mark.parametrize("triple", RULE_TRIPLES)
+    def test_union_is_the_power_set_filter_of_is_wide(self, triple):
+        p = validate_params(*triple)
+        union = set(models(p, semisimple_rules)) | set(models(p, periodic_rules))
+        assert sorted(union) == power_set_filter(triple, is_wide)
+
+    def test_rules_from_members_are_the_window_rules_inside_them(self, p449):
+        # a spec's rules are exactly the window rules whose `given` it holds
+        sp = spec(p449, 1, 2, 5, 7, 9, 10)
+        window = range(1, p449.period + 1)
+        for rules in (semisimple_rules, periodic_rules, closure_rules):
+            inside = [
+                r for r in rules(p449, window)
+                if all(sp.contains_pos(x) for x in r[0])
+            ]
+            assert list(rules(p449, sp.indices)) == inside
+
+
+def reference_witness(spec):
+    """The closure witness as the oracle stated it before the rules, inline."""
+    p = spec.params
+    members = set(spec.indices)
+    for src in spec.indices:
+        for tgt in range(src + 1, src + p.l):
+            if (tgt - 1) % p.period + 1 not in members:
+                continue
+            for r in range(1, p.d // 2 + 1):
+                for middle in (src - r * p.l, tgt - r * p.l):
+                    if (middle - 1) % p.period + 1 not in members:
+                        return (src, tgt, middle)
+    return None
+
+
+@st.composite
+def random_specs(draw):
+    p = validate_params(*draw(st.sampled_from(RULE_TRIPLES + [(4, 6, 13), (2, 9, 10)])))
+    window = range(1, p.period + 1)
+    return SubcatSpec(p, tuple(draw(st.sets(st.sampled_from(window)))))
+
+
+@given(random_specs())
+@settings(max_examples=300, deadline=None)
+def test_oracle_witness_equals_the_reference_formula(sp):
+    assert wide_oracle_witness(sp) == reference_witness(sp)
