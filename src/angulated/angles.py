@@ -15,7 +15,9 @@ contravariant functors Hom(-, t), or both.  One kernel serves all of
 them: a functor is the window of positions it keeps, [t, t+l-1] for
 Hom(t, -) and [t-l+1, t] for Hom(-, t).  Hom(-, t) reverses the chain and
 transposes its matrices, which changes no rank and no vanishing of a
-composite, so its exactness is tested in chain order too.
+composite, so its exactness is tested in chain order too.  The kernel
+sweeps all test vertices of a call at once, in runs of t whose windows
+keep the same summands, so its work follows the summands, not the span.
 """
 
 from bisect import bisect_left, bisect_right
@@ -343,41 +345,71 @@ def d_exact_seq(params: FamilyParams, i: int, j: int) -> FLevelChain:
 # Exactness oracles
 # ---------------------------------------------------------------------------
 
-def _inexact_slots(objects, entries, lo: int, hi: int, slots) -> list[int]:
-    """Slots among `slots` where a Hom functor leaves the chain inexact.
+def _cut(mat, rows, cols):
+    """`mat` cut down to the (start, stop) index ranges `rows` and `cols`."""
+    return [row[cols[0]:cols[1]] for row in mat[rows[0]:rows[1]]]
 
-    entries[k] is the matrix of the map objects[k] -> objects[k+1].  The
-    functor is given by the window [lo, hi] of positions it does not kill:
-    Hom(t, -) keeps [t, t+l-1] and Hom(-, t) keeps [t-l+1, t].  It sends a
-    map to its entry matrix cut down to the summands in the window, and
-    Hom(-, t) also transposes it and reverses the chain.  Transposing keeps
-    every rank, and a product vanishes exactly when its transpose does, so
-    both functors take the same test at each slot s, in chain order:
+
+def _inexact_windows(summands, entries, a: int, b: int, ts: range, slots: range):
+    """The (t, slot) pairs, t in `ts` and slot in `slots`, where a Hom
+    functor leaves the chain inexact, in the order of t, then of the slot.
+
+    summands[k] holds the sorted positions of object k, and entries[k] is
+    the matrix of the map object k -> object k+1.  The functor at t is the
+    window [t + a, t + b] of positions it does not kill: Hom(t, -) has the
+    offsets (0, l-1) and Hom(-, t) has (-(l-1), 0).  It sends a map to its
+    entry matrix cut down to the summands in the window, and Hom(-, t) also
+    transposes it and reverses the chain.  Transposing keeps every rank,
+    and a product vanishes exactly when its transpose does, so both
+    functors take the same test at each slot s, in chain order:
     rank(in) + rank(out) = dim together with out o in = 0.  A slot whose
-    window space is zero is exact; each nonempty cut-down map is ranked once.
-    Summands are sorted, so the ones an object keeps are the index range
-    that bisection finds, and no summand outside the window is looked at.
+    window space is zero is exact.
+
+    The summands of the whole chain are sorted once as (position, object,
+    index), so a window keeps one slice of that list, found by two
+    bisections.  The slice changes only at a breakpoint, a t where a
+    summand enters the window (t = q - b) or leaves it (t = q - a + 1), so
+    t is walked in runs between breakpoints: each run's slice is tested
+    once, at the objects it touches, and its failing slots are reported
+    for every t of the run.  An empty run costs nothing.  A cut is fixed by
+    its entry matrix and its two index ranges, and each distinct one is
+    ranked once per call.
     """
-    keep = [
-        range(bisect_left(o.summands, lo), bisect_right(o.summands, hi)) for o in objects
-    ]
-    # cuts[s] is the map into slot s and cuts[s + 1] the map out of it
-    cuts = [
-        None,
-        *([[e[i][j] for j in src] for i in tgt] if src and tgt else None
-          for e, src, tgt in zip(entries, keep, keep[1:])),
-        None,
-    ]
-    ranks = [linalg.rank(c) if c else 0 for c in cuts]
-    return [
-        s for s in slots
-        if keep[s] and (
-            ranks[s] + ranks[s + 1] != len(keep[s])
-            or cuts[s] and cuts[s + 1] and not linalg.is_zero(
-                linalg.mat_mul(cuts[s + 1], cuts[s], len(keep[s - 1]))
-            )
-        )
-    ]
+    tags = sorted((q, k, i) for k, qs in enumerate(summands) for i, q in enumerate(qs))
+    pos = [q for q, _, _ in tags]
+    starts = sorted(
+        {ts.start} | {t for q in pos for t in (q - b, q - a + 1) if ts.start < t < ts.stop}
+    )
+    ranks = {}
+
+    def rank(k, rows, cols):
+        key = (id(entries[k]), rows, cols)
+        if key not in ranks:
+            ranks[key] = linalg.rank(_cut(entries[k], rows, cols))
+        return ranks[key]
+
+    failures = []
+    for start, stop in zip(starts, starts[1:] + [ts.stop]):
+        keep = {}  # object -> (first, stop) of the summand indices in the window
+        for _, k, i in tags[bisect_left(pos, start + a):bisect_right(pos, start + b)]:
+            keep[k] = (keep[k][0] if k in keep else i, i + 1)
+        bad = []
+        for s in sorted(keep):
+            if s not in slots:
+                continue
+            here, back, fwd = keep[s], keep.get(s - 1), keep.get(s + 1)
+            r_in = rank(s - 1, here, back) if back else 0
+            r_out = rank(s, fwd, here) if fwd else 0
+            if r_in + r_out != here[1] - here[0] or back and fwd and not linalg.is_zero(
+                linalg.mat_mul(
+                    _cut(entries[s], fwd, here), _cut(entries[s - 1], here, back),
+                    back[1] - back[0],
+                )
+            ):
+                bad.append(s)
+        if bad:
+            failures += [(t, s) for t in range(start, stop) for s in bad]
+    return failures
 
 
 def check_d_kernel(chain: FLevelChain, mu: Morphism) -> bool:
@@ -385,12 +417,10 @@ def check_d_kernel(chain: FLevelChain, mu: Morphism) -> bool:
     p = chain.params
     if chain.objects[-1] != mu.source:
         raise ShapeMismatch("chain must end at the source of mu")
-    objects = chain.objects + (mu.target,)
+    summands = [o.summands for o in chain.objects + (mu.target,)]
     entries = [m.entries for m in chain.maps] + [mu.entries]
-    slots = range(len(chain.objects))
-    return all(
-        not _inexact_slots(objects, entries, t, t + p.l - 1, slots)
-        for t in range(1, p.period + 1)
+    return not _inexact_windows(
+        summands, entries, 0, p.l - 1, range(1, p.period + 1), range(len(chain.objects))
     )
 
 
@@ -399,24 +429,22 @@ def check_d_cokernel(chain: FLevelChain, mu: Morphism) -> bool:
     p = chain.params
     if chain.objects[0] != mu.target:
         raise ShapeMismatch("chain must start at the target of mu")
-    objects = (mu.source,) + chain.objects
+    summands = [o.summands for o in (mu.source,) + chain.objects]
     entries = [mu.entries] + [m.entries for m in chain.maps]
-    slots = range(1, len(objects))
-    return all(
-        not _inexact_slots(objects, entries, t - p.l + 1, t, slots)
-        for t in range(1, p.period + 1)
+    return not _inexact_windows(
+        summands, entries, 1 - p.l, 0, range(1, p.period + 1), range(1, len(summands))
     )
 
 
 def check_d_exact(chain: FLevelChain) -> bool:
     """Both functor tests on a full d+2 term sequence."""
-    p, objects = chain.params, chain.objects
+    p = chain.params
+    summands = [o.summands for o in chain.objects]
     entries = [m.entries for m in chain.maps]
-    n = len(objects)
-    return all(
-        not _inexact_slots(objects, entries, t, t + p.l - 1, range(n - 1))
-        and not _inexact_slots(objects, entries, t - p.l + 1, t, range(1, n))
-        for t in range(1, p.period + 1)
+    n, ts = len(summands), range(1, p.period + 1)
+    return not (
+        _inexact_windows(summands, entries, 0, p.l - 1, ts, range(n - 1))
+        or _inexact_windows(summands, entries, 1 - p.l, 0, ts, range(1, n))
     )
 
 
@@ -431,28 +459,31 @@ class ExactnessReport:
 def check_hom_exactness(a: Angle) -> ExactnessReport:
     """Brute-force exactness of every induced Hom sequence across the angle.
 
-    The angle is extended by one period on each side: its objects shifted
-    by -1, 0 and +1 periods, glued by its own entry matrices (a shift
-    leaves entries unchanged), so no shifted Morphism is built.  Every
-    covariant Hom functor from a test vertex t, the window [t, t+l-1], is
-    applied.  Hom spaces vanish beyond distance l - 1, so test vertices
-    ranging over [min position - period - l + 1, max position + period]
-    see every nonzero entry of the infinite sequence; exactness is checked
-    at each interior slot of the extended complex.  The contravariant
-    functors would be the windows [t-l+1, t] through the same kernel.
+    The angle is extended by one period on each side: its summand
+    positions shifted by -1, 0 and +1 periods, glued by its own entry
+    matrices (a shift leaves entries unchanged), so no shifted object or
+    Morphism is built.  Every covariant Hom functor from a test vertex t,
+    the window [t, t+l-1], is applied.  Hom spaces vanish beyond distance
+    l - 1, so test vertices ranging over [min position - period - l + 1,
+    max position + period] see every nonzero entry of the infinite
+    sequence; exactness is checked at each interior slot of the extended
+    complex.  All of them go through one sweep of the kernel: runs of t
+    whose window keeps the same summands are tested once, runs with no
+    summand cost nothing, and the three period copies share their entry
+    matrices and so the ranks of their cuts.  The contravariant functors
+    would be the offsets (-(l-1), 0) in one more sweep.
     """
     p = a.params
     positions = [q for o in a.objects for q in o.summands]
     if not positions:
         return ExactnessReport(True, ())
-    objects = [shift_obj(p, o, r) for r in (-1, 0, 1) for o in a.objects]
-    entries = ([m.entries for m in a.maps] * 3)[:-1]
-    lo = min(positions) - p.period - p.l + 1
-    hi = max(positions) + p.period
-    slots = range(1, len(objects) - 1)
-    failures = [
-        (t, s)
-        for t in range(lo, hi + 1)
-        for s in _inexact_slots(objects, entries, t, t + p.l - 1, slots)
+    summands = [
+        tuple(q + r * p.period for q in o.summands) for r in (-1, 0, 1) for o in a.objects
     ]
+    entries = ([m.entries for m in a.maps] * 3)[:-1]
+    failures = _inexact_windows(
+        summands, entries, 0, p.l - 1,
+        range(min(positions) - p.period - p.l + 1, max(positions) + p.period + 1),
+        range(1, len(summands) - 1),
+    )
     return ExactnessReport(not failures, tuple(failures))

@@ -7,10 +7,11 @@ transposed, as the definition reads, instead of the library's single
 position-window kernel; `hom_exactness_reference` extends an angle by
 shifted Morphisms instead of reusing its entry matrices.
 `matching_connector` builds the partial-matching connectors that `extend`
-is tested on, from drawn pairs.
+is tested on, from drawn pairs, and `with_map_zeroed` spoils an angle so
+that the exactness tests see failures too.
 """
 
-from angulated import Morphism, SumObject, linalg, shift_mor
+from angulated import Angle, Morphism, SumObject, linalg, shift_mor, zero_mor
 from angulated.verify import block_iso_oracle  # noqa: F401
 
 
@@ -60,6 +61,17 @@ def matching_connector(params, pairs, lone_sources, lone_targets):
         SumObject(tuple(t for t, _ in tgt)),
         tuple(map(tuple, ents)),
     )
+
+
+def with_map_zeroed(a, k):
+    """The angle `a` with map k replaced by zero.
+
+    Every composite through a zero map vanishes, so this is still an angle,
+    and for most k it is no longer exact.
+    """
+    maps = list(a.maps)
+    maps[k] = zero_mor(a.params, maps[k].source, maps[k].target)
+    return Angle(a.params, a.objects, tuple(maps))
 
 
 def angle_objects(params, a):
@@ -117,6 +129,16 @@ def hom_into_inexact_slots(params, objects, maps, t, slots):
         [len(ks) for ks in reversed(keep)], mats[::-1], [n - 1 - s for s in slots]
     )
     return sorted(n - 1 - s for s in bad)
+
+
+def d_kernel_reference(chain, mu):
+    """0 -> chain -> target(mu) exact under every Hom(f_t, -)."""
+    objects = chain.objects + (mu.target,)
+    maps = chain.maps + (mu,)
+    return not any(
+        hom_from_inexact_slots(chain.params, objects, maps, t, range(len(chain.objects)))
+        for t in range(1, chain.params.period + 1)
+    )
 
 
 def d_cokernel_reference(chain, mu):

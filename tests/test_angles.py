@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,9 +37,32 @@ from angulated import (
     zero_mor,
 )
 from angulated import linalg
+from angulated.angles import FLevelChain
 from angulated.core import scale
 
-from oracles import angle_objects, matching_connector
+from oracles import (
+    angle_objects,
+    hom_exactness_reference,
+    matching_connector,
+    with_map_zeroed,
+)
+
+
+def _gate_exactness_requests():
+    """(params, (source, target, entries)) of the 100 `exactness` requests
+    of the query-session gate seed, each a connector for `extend`.
+
+    `perfbench/session.py` is loaded read-only from its file.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "session.py"
+    spec = importlib.util.spec_from_file_location("gate_session", path)
+    session = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(session)
+    return [
+        (validate_params(*triple), payload)
+        for kind, triple, payload in session.take(session.GATE_SEED, session.GATE_REQUESTS)
+        if kind == "exactness"
+    ]
 
 
 class TestTrivialAngle:
@@ -243,15 +267,7 @@ class TestExtend:
         # The 100 `exactness` requests of the query-session gate seed, each
         # a connector and its `extend`.  A contractible block shares one
         # 0 -> 0 map among its zero slots; 201 blocks need one.
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "session.py"
-        spec = importlib.util.spec_from_file_location("gate_session", path)
-        session = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(session)
-        requests = [
-            (validate_params(*triple), payload)
-            for kind, triple, payload in session.take(session.GATE_SEED, session.GATE_REQUESTS)
-            if kind == "exactness"
-        ]
+        requests = _gate_exactness_requests()
         assert len(requests) == 100
         built = [0]
         post_init = Morphism.__post_init__
@@ -329,6 +345,18 @@ class TestWindowChains:
         broken = type(exact)(p449, "exact", tuple(objects), tuple(maps))
         assert not check_d_exact(broken)
 
+    def test_ranks_alone_do_not_make_a_chain_exact(self, p449):
+        # f1 -> f1 + f1 -> f1 into the first summand and out of the first or
+        # the second: every window keeps all of it or nothing, so the ranks
+        # add up at every slot, and only the composite tells the two apart
+        x, y = indec(1), SumObject((1, 1))
+        into = Morphism(p449, x, y, ((1,), (0,)))
+        for out, exact in ((((0, 1),), True), (((1, 0),), False)):
+            out = Morphism(p449, y, x, out)
+            assert check_d_kernel(FLevelChain(p449, "kernel", (x, y), (into,)), out) == exact
+            assert check_d_cokernel(FLevelChain(p449, "cokernel", (y, x), (out,)), into) == exact
+            assert check_d_exact(FLevelChain(p449, "exact", (x, y, x), (into, out))) == exact
+
 
 class TestHomExactnessOracle:
     def test_golden_angle_passes(self, p449):
@@ -358,7 +386,33 @@ class TestHomExactnessOracle:
         monkeypatch.setattr(linalg, "rank", counting_rank)
         assert check_hom_exactness(min_angle(basis_mor(p449, 1, 3))).ok
         assert all(r and c for r, c in shapes), "rank called on an empty matrix"
-        assert len(shapes) == 34
+        # every cut is one of the angle's six 1 x 1 entry matrices, which
+        # the three period copies share: each is ranked once per call
+        assert len(shapes) == 6
+
+    def test_session_gate_angles_match_the_reference(self):
+        # each gate angle as built, and with map n mod (d+2) zeroed; the
+        # reference walks every test vertex and builds shifted Morphisms
+        spoiled = 0
+        for n, (p, (src, tgt, ents)) in enumerate(_gate_exactness_requests()):
+            a = extend(Morphism(p, SumObject(src), SumObject(tgt), ents))
+            for b in (a, with_map_zeroed(a, n % len(a.maps))):
+                report = check_hom_exactness(b)
+                assert report.failures == hom_exactness_reference(b)
+                assert report.ok == (not report.failures)
+                spoiled += not report.ok
+        assert spoiled == 91  # zeroing a map spoils most angles, not all
+
+    def test_work_follows_the_summands(self):
+        # two cells 10^5 periods apart: about 1.2 million test vertices lie
+        # between them, all with empty windows; a walk over every vertex
+        # takes about 25 s on one core, the sweep about a millisecond
+        p = validate_params(10, 2, 11)
+        far = 10 ** 5 * p.period
+        a = extend(matching_connector(p, [(0, 1, 1), (far, far + 1, Fraction(-2, 3))], [], []))
+        start = time.perf_counter()
+        assert check_hom_exactness(a).ok
+        assert time.perf_counter() - start < 2
 
 
 class TestAngleValidation:

@@ -16,10 +16,12 @@ from angulated import (
     check_hom_exactness,
     check_d_cokernel,
     check_d_exact,
+    check_d_kernel,
     compose,
     cover,
     d_cokernel,
     d_exact_seq,
+    d_kernel,
     direct_sum,
     enumerate_wide,
     extend,
@@ -50,8 +52,10 @@ from oracles import (
     block_iso_oracle,
     d_cokernel_reference,
     d_exact_reference,
+    d_kernel_reference,
     hom_exactness_reference,
     matching_connector,
+    with_map_zeroed,
 )
 
 TRIPLES = [(2, 2, 3), (2, 3, 4), (4, 4, 9), (2, 4, 5), (4, 2, 5), (6, 2, 7)]
@@ -260,6 +264,18 @@ def test_d_cokernel_matches_reversed_transposed_reference(p, data):
 
 @given(small_params_st, st.data())
 @settings(max_examples=150, deadline=None)
+def test_d_kernel_matches_hom_from_reference(p, data):
+    i, j = _window_pair(data, p)
+    chain, mu = d_kernel(p, i, j), basis_mor(p, i, j)
+    objects, maps = _perturbed_chain(
+        data, p, chain.objects + (mu.target,), chain.maps + (mu,)
+    )
+    chain = FLevelChain(p, "kernel", objects[:-1], maps[:-1])
+    assert check_d_kernel(chain, maps[-1]) == d_kernel_reference(chain, maps[-1])
+
+
+@given(small_params_st, st.data())
+@settings(max_examples=150, deadline=None)
 def test_d_exact_matches_two_sided_reference(p, data):
     chain = d_exact_seq(p, *_window_pair(data, p))
     chain = FLevelChain(p, "exact", *_perturbed_chain(data, p, chain.objects, chain.maps))
@@ -310,10 +326,11 @@ _SCALARS_ST = st.sampled_from(
 )
 
 
-def _draw_connector(data, p):
+def _draw_connector(data, p, periods=1):
     """1-3 matched pairs s -> s + D (0 <= D <= l - 1) with scalars n/q, and
-    0-2 unmatched summands on each side; positions may repeat."""
-    pos_st = st.integers(-p.period, p.period)
+    0-2 unmatched summands on each side; positions lie within `periods`
+    periods of 0 and may repeat."""
+    pos_st = st.integers(-periods * p.period, periods * p.period)
     pairs = [
         (s, s + data.draw(st.integers(0, p.l - 1)), data.draw(_SCALARS_ST))
         for s in data.draw(st.lists(pos_st, min_size=1, max_size=3))
@@ -342,6 +359,18 @@ def test_hom_exactness_matches_shifted_morphism_reference(p, data):
         maps = list(a.maps)
         maps[k] = zero_mor(p, maps[k].source, maps[k].target)
         a = Angle(p, a.objects, tuple(maps))
+    assert check_hom_exactness(a).failures == hom_exactness_reference(a)
+
+
+@given(st.sampled_from([validate_params(6, 3, 10), validate_params(10, 2, 11)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_hom_exactness_matches_reference_at_session_shapes(p, data):
+    # the large-d triples of the query session, with positions over +-3
+    # periods as it draws them: summands lie far apart and most windows
+    # are empty; half of the drawn angles have one map zeroed
+    a = extend(_draw_connector(data, p, periods=3))
+    if data.draw(st.booleans()):
+        a = with_map_zeroed(a, data.draw(st.integers(0, len(a.maps) - 1)))
     assert check_hom_exactness(a).failures == hom_exactness_reference(a)
 
 
