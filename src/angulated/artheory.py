@@ -22,18 +22,20 @@ from .core import (
     NotWide,
     SumObject,
     ZERO_OBJ,
+    _left_solve,
     _right_factor_system,
+    _right_solve,
     basis_mor,
     hom_dim,
     indec,
     is_radical,
     is_split_epi,
     is_split_mono,
-    left_factor,
-    right_factor,
     zero_mor,
 )
 from .wide import SubcatSpec, is_wide
+
+_BASIS = ((Fraction(1),),)  # entries of the basis morphism u(x -> y)
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def is_right_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
     if is_split_epi(xi):
         return False
     for w in _member_sources(spec, pos):
-        if right_factor(xi, basis_mor(spec.params, w, pos)) is None:
+        if _right_solve(xi, indec(w), _BASIS)[1] is None:
             return False
     return True
 
@@ -144,7 +146,7 @@ def is_left_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
     if is_split_mono(xi):
         return False
     for w in _member_targets(spec, pos):
-        if left_factor(xi, basis_mor(spec.params, pos, w)) is None:
+        if _left_solve(xi, indec(w), _BASIS)[1] is None:
             return False
     return True
 
@@ -183,11 +185,8 @@ def is_precover(spec: SubcatSpec, xi: Morphism) -> bool:
         for i, q in enumerate(tgt.summands):
             if not hom_dim(p, w, q):
                 continue
-            ents = [
-                [Fraction(1 if (r == i) else 0)] for r in range(len(tgt))
-            ]
-            elem = Morphism(p, indec(w), tgt, tuple(tuple(r) for r in ents))
-            if right_factor(xi, elem) is None:
+            elem = tuple((Fraction(1 if r == i else 0),) for r in range(len(tgt)))
+            if _right_solve(xi, indec(w), elem)[1] is None:
                 return False
     return True
 
@@ -242,14 +241,19 @@ def theorem_b_check(spec: SubcatSpec, pos: int) -> TheoremBReport:
     its initial object, and the subcategory AR angle ending at `pos`; then
     verifies with the raw-definition checkers that the cover really is a
     cover, the constructed angle really is an AR angle in the subcategory,
-    and that its initial object equals the cover source.
+    and that its initial object equals the cover source.  The gates live
+    here and the cross-check in `_theorem_b`, which `verify_ar` calls with
+    the ambient angle it has already built and checked.
     """
-    p = spec.params
     if not is_wide(spec):
         raise NotWide(f"spec {list(spec.indices)} is not wide")
     if not spec.contains_pos(pos):
         raise NotMember(f"vertex at position {pos} is not a member")
-    ambient = ar_angle(p, pos)
+    return _theorem_b(spec, pos, ar_angle(spec.params, pos))
+
+
+def _theorem_b(spec: SubcatSpec, pos: int, ambient: Angle) -> TheoremBReport:
+    """The cross-check of `theorem_b_check`, given `ar_angle(params, pos)`."""
     head = ambient.objects[0].summands[0]
     cov = cover(spec, head)
     sub = ar_angle_in(spec, pos)

@@ -183,7 +183,7 @@ def _check_cells(params, src, tgt, ents) -> bool:
         for j, (x, e) in enumerate(zip(src, row)):
             if type(e) is not Fraction:
                 return False
-            if e and not 0 <= y - x <= lmax:
+            if not 0 <= y - x <= lmax and e:
                 raise ShapeMismatch(f"entry ({i}, {j}) nonzero but Hom({x} -> {y}) = 0")
     return True
 
@@ -221,7 +221,7 @@ class Morphism:
 
     @property
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self.entries for e in row)
+        return not any(map(any, self.entries))
 
 
 def zero_mor(params: FamilyParams, source: SumObject, target: SumObject) -> Morphism:
@@ -229,10 +229,12 @@ def zero_mor(params: FamilyParams, source: SumObject, target: SumObject) -> Morp
     return Morphism(params, source, target, ents)
 
 
+def _eye(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
+
+
 def identity_mor(params: FamilyParams, obj: SumObject) -> Morphism:
-    n = len(obj)
-    ents = tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
-    return Morphism(params, obj, obj, ents)
+    return Morphism(params, obj, obj, _eye(len(obj)))
 
 
 def basis_mor(params: FamilyParams, x: int, y: int) -> Morphism:
@@ -250,15 +252,6 @@ def scale(mor: Morphism, c) -> Morphism:
     c = _exact(c, "scalar")
     ents = tuple(tuple(c * e for e in row) for row in mor.entries)
     return Morphism(mor.params, mor.source, mor.target, ents)
-
-
-def add_mor(a: Morphism, b: Morphism) -> Morphism:
-    if a.params != b.params or a.source != b.source or a.target != b.target:
-        raise ShapeMismatch("can only add parallel morphisms")
-    ents = tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
-    )
-    return Morphism(a.params, a.source, a.target, ents)
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -386,12 +379,42 @@ def _right_factor_system(f: Morphism, a: SumObject):
     return cells, rows, keys
 
 
+def _left_factor_system(f: Morphism, c: SumObject):
+    """The mirror of `_right_factor_system`: g -> g o f over g: target(f) -> c."""
+    p = f.params
+    cells = _allowed_cells(p, f.target, c)
+    cell_index = {cell: n for n, cell in enumerate(cells)}
+    rows, keys = [], []
+    for i, cpos in enumerate(c.summands):
+        for j, apos in enumerate(f.source.summands):
+            if not hom_dim(p, apos, cpos):
+                continue
+            row = [_ZERO] * len(cells)
+            for k in range(len(f.target)):  # distinct cells (i, k): no sums
+                if f.entries[k][j] and (i, k) in cell_index:
+                    row[cell_index[(i, k)]] = f.entries[k][j]
+            rows.append(row)
+            keys.append((i, j))
+    return cells, rows, keys
+
+
+def _right_solve(f: Morphism, a: SumObject, rhs):
+    """(cells, solution or None) of f o g = rhs over g: a -> source(f)."""
+    cells, rows, keys = _right_factor_system(f, a)
+    return cells, linalg.solve(rows, [rhs[i][j] for i, j in keys], len(cells))
+
+
+def _left_solve(f: Morphism, c: SumObject, rhs):
+    """(cells, solution or None) of g o f = rhs over g: target(f) -> c."""
+    cells, rows, keys = _left_factor_system(f, c)
+    return cells, linalg.solve(rows, [rhs[i][j] for i, j in keys], len(cells))
+
+
 def right_factor(f: Morphism, t: Morphism) -> Morphism | None:
     """A morphism g with f o g = t, or None when t does not factor through f."""
     if f.params != t.params or f.target != t.target:
         raise ShapeMismatch("right_factor needs target(f) = target(t)")
-    cells, rows, keys = _right_factor_system(f, t.source)
-    sol = linalg.solve(rows, [t.entries[i][j] for i, j in keys], len(cells))
+    cells, sol = _right_solve(f, t.source, t.entries)
     if sol is None:
         return None
     return _mor_from_solution(f.params, t.source, f.source, cells, sol)
@@ -401,33 +424,18 @@ def left_factor(f: Morphism, t: Morphism) -> Morphism | None:
     """A morphism g with g o f = t, or None when t does not extend along f."""
     if f.params != t.params or f.source != t.source:
         raise ShapeMismatch("left_factor needs source(f) = source(t)")
-    p = f.params
-    a, b, c = f.source, f.target, t.target
-    cells = _allowed_cells(p, b, c)
-    cell_index = {cell: n for n, cell in enumerate(cells)}
-    rows, rhs = [], []
-    for i, cpos in enumerate(c.summands):
-        for j, apos in enumerate(a.summands):
-            if not hom_dim(p, apos, cpos):
-                continue
-            row = [_ZERO] * len(cells)
-            for k in range(len(b)):  # distinct cells (i, k): no sums
-                if f.entries[k][j] and (i, k) in cell_index:
-                    row[cell_index[(i, k)]] = f.entries[k][j]
-            rows.append(row)
-            rhs.append(t.entries[i][j])
-    sol = linalg.solve(rows, rhs, len(cells))
+    cells, sol = _left_solve(f, t.target, t.entries)
     if sol is None:
         return None
-    return _mor_from_solution(p, b, c, cells, sol)
+    return _mor_from_solution(f.params, f.target, t.target, cells, sol)
 
 
 def is_split_epi(f: Morphism) -> bool:
-    return right_factor(f, identity_mor(f.params, f.target)) is not None
+    return _right_solve(f, f.target, _eye(len(f.target)))[1] is not None
 
 
 def is_split_mono(f: Morphism) -> bool:
-    return left_factor(f, identity_mor(f.params, f.source)) is not None
+    return _left_solve(f, f.source, _eye(len(f.source)))[1] is not None
 
 
 def is_iso(f: Morphism) -> bool:

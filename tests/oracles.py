@@ -6,12 +6,26 @@ walking the quiver and build the contravariant complex reversed and
 transposed, as the definition reads, instead of the library's single
 position-window kernel; `hom_exactness_reference` extends an angle by
 shifted Morphisms instead of reusing its entry matrices.
-`matching_connector` builds the partial-matching connectors that `extend`
-is tested on, from drawn pairs, and `with_map_zeroed` spoils an angle so
-that the exactness tests see failures too.
+`add_mor` adds parallel morphisms entrywise, for the bilinearity test.
+The split references decide split epis and monos by building the factor
+through the identity, as the definition reads, where the library only asks
+whether the factor system is solvable.  `matching_connector` builds the
+partial-matching connectors that `extend` is tested on, from drawn pairs,
+and `with_map_zeroed` spoils an angle so that the exactness tests see
+failures too.
 """
 
-from angulated import Angle, Morphism, SumObject, linalg, shift_mor, zero_mor
+from angulated import (
+    Angle,
+    Morphism,
+    ShapeMismatch,
+    SumObject,
+    identity_mor,
+    linalg,
+    shift_mor,
+    zero_mor,
+)
+from angulated.core import left_factor, right_factor
 from angulated.verify import block_iso_oracle  # noqa: F401
 
 
@@ -33,6 +47,26 @@ def path_hom_dim(params, x, y):
         if vertex < y:
             stack.append((vertex + 1, steps + 1))
     return count
+
+
+def add_mor(a, b):
+    """The entrywise sum of two parallel morphisms."""
+    if a.params != b.params or a.source != b.source or a.target != b.target:
+        raise ShapeMismatch("can only add parallel morphisms")
+    ents = tuple(
+        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
+    )
+    return Morphism(a.params, a.source, a.target, ents)
+
+
+def split_epi_reference(f):
+    """f is a split epi: the identity on its target factors through it."""
+    return right_factor(f, identity_mor(f.params, f.target)) is not None
+
+
+def split_mono_reference(f):
+    """f is a split mono: the identity on its source extends along it."""
+    return left_factor(f, identity_mor(f.params, f.source)) is not None
 
 
 def matching_connector(params, pairs, lone_sources, lone_targets):

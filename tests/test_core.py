@@ -352,7 +352,9 @@ class TestMorphismValidation:
         assert f.is_zero
 
     def test_compose_is_bilinear(self, p449):
-        from angulated.core import add_mor, scale
+        from angulated.core import scale
+
+        from oracles import add_mor
 
         f1, f2 = basis_mor(p449, 1, 2), scale(basis_mor(p449, 1, 2), Fraction(3, 7))
         g = scale(basis_mor(p449, 2, 4), -2)

@@ -47,6 +47,7 @@ from angulated import (
 )
 from angulated.angles import FLevelChain
 from angulated.core import direct_sum_mor, left_factor, right_factor, scale
+from angulated.verify import _is_shift
 
 from oracles import (
     block_iso_oracle,
@@ -55,6 +56,8 @@ from oracles import (
     d_kernel_reference,
     hom_exactness_reference,
     matching_connector,
+    split_epi_reference,
+    split_mono_reference,
     with_map_zeroed,
 )
 
@@ -388,3 +391,58 @@ def test_split_both_ways_is_the_block_iso_oracle(p, data):
             st.lists(st.integers(0, p.l), min_size=1, max_size=4))))
     f = _draw_mor(data, p, src, tgt)
     assert (is_split_epi(f) and is_split_mono(f)) == block_iso_oracle(f)
+
+
+def _draw_angle(data, p):
+    """A minimal angle on a scaled basis morphism, an AR angle, or `extend`
+    of a partial-matching connector, within a period or two of the window."""
+    kind = data.draw(st.sampled_from(["min", "ar", "extend"]))
+    if kind == "extend":
+        return extend(_draw_connector(data, p))
+    i = data.draw(st.integers(-p.period, 2 * p.period))
+    if kind == "ar":
+        return ar_angle(p, i)
+    c = data.draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 5)]))
+    return min_angle(scale(basis_mor(p, i, i + data.draw(st.integers(1, p.l - 1))), c))
+
+
+@given(params_st, st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_shift_is_equality_with_the_shifted_angle(p, data):
+    a = _draw_angle(data, p)
+    r = data.draw(st.integers(-2, 2))
+    want = shift_angle(a, r)
+    how = data.draw(st.sampled_from(["same", "other r", "map scaled", "other angle", "other triple"]))
+    if how == "same":
+        b = want
+    elif how == "other r":
+        b = shift_angle(a, data.draw(st.integers(-2, 2).filter(lambda s: s != r)))
+    elif how == "map scaled":
+        # min and AR angles have 1 x 1 maps, so one entry changes there
+        k = data.draw(st.integers(0, len(a.maps) - 1))
+        maps = list(want.maps)
+        maps[k] = scale(maps[k], 2)
+        b = Angle(p, want.objects, tuple(maps))
+    elif how == "other angle":
+        b = shift_angle(_draw_angle(data, p), r)
+    else:
+        q = data.draw(st.sampled_from([q for q in PARAMS if q != p]))
+        b = shift_angle(_draw_angle(data, q), r)
+    assert _is_shift(b, a, r) == (b == want)
+
+
+@given(factor_params_st, st.data())
+@settings(max_examples=150, deadline=None)
+def test_split_tests_match_the_factor_references(p, data):
+    # one side keeps some summands of the other half of the time, so split
+    # epis and monos are drawn as well as maps that split neither way
+    x = _draw_sum(data, p)
+    if data.draw(st.booleans()):
+        kept = data.draw(st.sets(st.integers(0, len(x) - 1), min_size=1))
+        y = SumObject(tuple(x.summands[k] for k in kept))
+    else:
+        y = _draw_sum(data, p)
+    src, tgt = (x, y) if data.draw(st.booleans()) else (y, x)
+    f = _draw_mor(data, p, src, tgt)
+    assert is_split_epi(f) == split_epi_reference(f)
+    assert is_split_mono(f) == split_mono_reference(f)

@@ -4,8 +4,22 @@ import time
 
 import pytest
 
-from angulated import artheory, enumerate_wide, validate_params, verify, wide
+import angulated
+from angulated import (
+    Angle,
+    Morphism,
+    angles,
+    artheory,
+    enumerate_wide,
+    indec,
+    validate_params,
+    verify,
+    wide,
+)
+from angulated.core import scale
 
+AMBIENT = "ambient AR angles pass all oracle tests"
+MINIMAL = "minimal angles: shape, radical middles, equivariance"
 SUB_AR = "subcategory AR angles pass the definition oracle"
 COVER = "covers verified by the raw cover test"
 THEOREM_B = "cover <-> AR angle equivalence holds throughout"
@@ -86,6 +100,57 @@ def test_enumeration_losing_a_spec_fails_exactly_its_check(monkeypatch, p234):
     assert {c.name for c in verify.verify_all(p234) if not c.ok} == {ENUM}
 
 
+def _connector_doubled(a):
+    """`a` with the one entry of its connecting map doubled; still an angle."""
+    return Angle(a.params, a.objects, a.maps[:-1] + (scale(a.connecting, 2),))
+
+
+# The suite compares each AR angle at pos + period with the one at pos
+# shifted, by positions and entries: a wrong entry past the window shows.
+@pytest.mark.parametrize(
+    "name, failing", [("ar_angle_in", {SUB_AR}), ("ar_angle", {AMBIENT})]
+)
+def test_a_wrong_shifted_ar_angle_fails_exactly_its_check(monkeypatch, p234, name, failing):
+    original = getattr(artheory, name)
+
+    def planted(owner, pos):
+        a = original(owner, pos)
+        return _connector_doubled(a) if pos > p234.period else a
+
+    monkeypatch.setattr(artheory, name, planted)
+    assert {c.name for c in verify.verify_all(p234) if not c.ok} == failing
+
+
+def _second_object_moved(a):
+    """`a` with objects[1] moved one position and maps 0 and 1 following it.
+
+    The move makes a composite of two maps nonzero, so no valid angle can
+    carry it: the record is made without the validation, as a construction
+    that lost its check would return it.
+    """
+    p = a.params
+    objects, maps = list(a.objects), list(a.maps)
+    x, y = objects[0].summands[0], objects[1].summands[0]
+    objects[1] = indec(y + (1 if y - x < p.l - 1 else -1))
+    for k in (0, 1):
+        maps[k] = Morphism(p, objects[k], objects[k + 1], maps[k].entries)
+    moved = object.__new__(Angle)
+    for field, value in (("params", p), ("objects", tuple(objects)), ("maps", tuple(maps))):
+        object.__setattr__(moved, field, value)
+    return moved
+
+
+def test_a_moved_object_in_the_shifted_min_angle_fails_exactly_its_check(monkeypatch, p234):
+    original = verify.min_angle
+
+    def planted(mu):
+        a = original(mu)
+        return _second_object_moved(a) if mu.source.summands[0] > p234.period else a
+
+    monkeypatch.setattr(verify, "min_angle", planted)
+    assert {c.name for c in verify.verify_all(p234) if not c.ok} == {MINIMAL}
+
+
 def test_verify_wide_at_period_24_needs_no_power_set_walk():
     # 2^24 subsets would take minutes to filter; the rule search lists the
     # 4,120 wide specs in well under a second on one core
@@ -98,7 +163,7 @@ def test_verify_wide_at_period_24_needs_no_power_set_walk():
 
 
 def test_ar_suite_asks_each_oracle_once_per_member(monkeypatch, p449):
-    calls = {"is_ar_angle": 0, "is_cover": 0, "ar_angle_in": 0}
+    calls = {"is_ar_angle": 0, "is_cover": 0, "ar_angle_in": 0, "ar_angle": 0}
 
     def counting(name):
         fn = getattr(artheory, name)
@@ -111,8 +176,23 @@ def test_ar_suite_asks_each_oracle_once_per_member(monkeypatch, p449):
 
     for name in calls:
         monkeypatch.setattr(artheory, name, counting(name))
+    shifted = []
+    for module in (angles, angulated):
+        fn = module.shift_angle
+        monkeypatch.setattr(
+            module, "shift_angle", lambda *args, fn=fn: shifted.append(args) or fn(*args)
+        )
+    assert not hasattr(verify, "shift_angle")
     assert all(c.ok for c in verify.verify_ar(p449))
     pairs = sum(len(spec.indices) for spec in enumerate_wide(p449))
     assert pairs == 168
-    # ar_angle_in runs at pos (inside theorem_b_check) and at pos + period
-    assert calls == {"is_ar_angle": pairs, "is_cover": pairs, "ar_angle_in": 2 * pairs}
+    # ar_angle_in runs at pos (inside the Theorem-B check) and at pos +
+    # period; ar_angle runs once per window position and once per shifted
+    # copy, and the Theorem-B checks reuse the window's angles
+    assert calls == {
+        "is_ar_angle": pairs,
+        "is_cover": pairs,
+        "ar_angle_in": 2 * pairs,
+        "ar_angle": 2 * p449.period,
+    }
+    assert shifted == []
