@@ -9,15 +9,17 @@ d+1 gaps alternate between D and l - D and the total span is m - 1 + D.
 The oracle `check_hom_exactness` never looks at how an angle was built: it
 applies every covariant Hom functor from a window of test vertices to the
 angle extended by one period on each side and verifies exactness of the
-resulting rational complexes by rank counting.  The d-kernel, d-cokernel
-and d-exact tests apply the covariant functors Hom(t, -), the
-contravariant functors Hom(-, t), or both.  One kernel serves all of
-them: a functor is the window of positions it keeps, [t, t+l-1] for
-Hom(t, -) and [t-l+1, t] for Hom(-, t).  Hom(-, t) reverses the chain and
-transposes its matrices, which changes no rank and no vanishing of a
-composite, so its exactness is tested in chain order too.  The kernel
-sweeps all test vertices of a call at once, in runs of t whose windows
-keep the same summands, so its work follows the summands, not the span.
+resulting rational complexes by rank counting.  Hom(t, -) keeps the
+positions [t, t+l-1]; Hom(-, t) keeps the window of Hom(t-l+1, -), reversed
+and transposed, which changes no rank and no vanishing composite, so it
+fails exactly where Hom(t-l+1, -) does.  One kernel with one window family
+thus tests both functors, the contravariant one at test vertices moved by
+-(l-1), and `check_hom_exactness` also decides contravariant exactness.  F
+keeps both tests: its test vertices are only f_1..f_period, and the
+d-kernel test covers every slot but the last, the d-cokernel test every
+slot but the first.  The kernel sweeps all test vertices of a call at
+once, in runs of t whose windows keep the same summands, so its work
+follows the summands, not the span.
 """
 
 from bisect import bisect_left, bisect_right
@@ -36,7 +38,6 @@ from .core import (
     basis_mor,
     compose,
     direct_sum_mor,
-    direct_sum_obj,
     indec,
     identity_mor,
     residue_class,
@@ -150,10 +151,10 @@ def shift_angle(a: Angle, r: int) -> Angle:
 
 
 def _summed(chains):
-    """Slot-wise direct sum of (objects, maps) chains, not yet validated."""
-    objects = tuple(direct_sum_obj(*objs) for objs in zip(*(o for o, _ in chains)))
+    """Slot-wise direct sum of (objects, maps) chains, not yet validated;
+    object k of the sum is the source of summed map k."""
     maps = tuple(direct_sum_mor(*mors) for mors in zip(*(m for _, m in chains)))
-    return objects, maps
+    return tuple(m.source for m in maps), maps
 
 
 def direct_sum(first: Angle, *rest: Angle) -> Angle:
@@ -288,57 +289,50 @@ class FLevelChain:
     maps: tuple[Morphism, ...]
 
 
-def _chain_maps(params, objects) -> tuple[Morphism, ...]:
-    maps = []
-    for a, b in zip(objects, objects[1:]):
-        if a.is_zero or b.is_zero:
-            maps.append(zero_mor(params, a, b))
-        else:
-            maps.append(basis_mor(params, a.summands[0], b.summands[0]))
-    return tuple(maps)
+def _ladder(params: FamilyParams, kind: str, i: int, j: int) -> FLevelChain:
+    """The `kind` chain cut from the ladder through f_i, f_j.
 
-
-def _window_ladder(params, i, j) -> list[int]:
-    """Window positions of the ladder through f_i, f_j, in increasing order.
-
-    These are the residue classes of i and j mod l, disjoint because
-    1 <= j - i <= l - 1.
+    The ladder is the d+2 window positions congruent to i or j mod l, in
+    increasing order; the two classes alternate, so f_j follows f_i.  With
+    d zeros on each side, the d-kernel is its d+1 objects ending at f_i and
+    the d-cokernel its d+1 objects starting at f_j.  Neighbouring vertices
+    are joined by basis morphisms, anything else by zero maps.
     """
     if not (1 <= i <= params.period and 1 <= j <= params.period):
         raise BadDistance(f"indices must lie in [1, {params.period}]")
     if not 1 <= j - i <= params.l - 1:
         raise BadDistance(f"need 1 <= j - i <= {params.l - 1}, got {j - i}")
-    return sorted([*residue_class(params, i), *residue_class(params, j)])
+    d = params.d
+    positions = sorted([*residue_class(params, i), *residue_class(params, j)])
+    if len(positions) != d + 2:  # each class meets the window (d+2)/2 times
+        raise InternalError(f"ladder {positions} does not have d+2 terms")
+    row = [ZERO_OBJ] * d + [indec(q) for q in positions] + [ZERO_OBJ] * d
+    at_i = d + positions.index(i)
+    start = {"kernel": at_i - d, "cokernel": at_i + 1, "exact": d}[kind]
+    objects = tuple(row[start:start + d + 1 + (kind == "exact")])
+    maps = tuple(
+        zero_mor(params, a, b) if a.is_zero or b.is_zero
+        else basis_mor(params, a.summands[0], b.summands[0])
+        for a, b in zip(objects, objects[1:])
+    )
+    return FLevelChain(params, kind, objects, maps)
 
 
 def d_kernel(params: FamilyParams, i: int, j: int) -> FLevelChain:
-    """d+1 objects ending at f_i whose Hom-from sequences kill u(i -> j).
-
-    The chain is the truncation of the alternating ladder through f_i, f_j
-    to positions <= i inside the window, padded with zeros on the left.
-    """
-    positions = [q for q in _window_ladder(params, i, j) if q <= i]
-    objects = [ZERO_OBJ] * (params.d + 1 - len(positions)) + [indec(q) for q in positions]
-    objects = tuple(objects)
-    return FLevelChain(params, "kernel", objects, _chain_maps(params, objects))
+    """d+1 objects ending at f_i whose Hom-from sequences kill u(i -> j):
+    the ladder's head up to f_i, padded with zeros on the left."""
+    return _ladder(params, "kernel", i, j)
 
 
 def d_cokernel(params: FamilyParams, i: int, j: int) -> FLevelChain:
-    """d+1 objects starting at f_j, dual to `d_kernel`."""
-    positions = [q for q in _window_ladder(params, i, j) if q >= j]
-    objects = tuple(
-        [indec(q) for q in positions] + [ZERO_OBJ] * (params.d + 1 - len(positions))
-    )
-    return FLevelChain(params, "cokernel", objects, _chain_maps(params, objects))
+    """d+1 objects starting at f_j, dual to `d_kernel`: the ladder's tail
+    from f_j, padded with zeros on the right."""
+    return _ladder(params, "cokernel", i, j)
 
 
 def d_exact_seq(params: FamilyParams, i: int, j: int) -> FLevelChain:
     """The full d+2 term sequence through u(i -> j) inside the window."""
-    positions = _window_ladder(params, i, j)
-    if len(positions) != params.d + 2:  # each class meets the window (d+2)/2 times
-        raise InternalError(f"ladder {positions} does not have d+2 terms")
-    objects = tuple(indec(q) for q in positions)
-    return FLevelChain(params, "exact", objects, _chain_maps(params, objects))
+    return _ladder(params, "exact", i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -350,25 +344,23 @@ def _cut(mat, rows, cols):
     return [row[cols[0]:cols[1]] for row in mat[rows[0]:rows[1]]]
 
 
-def _inexact_windows(summands, entries, a: int, b: int, ts: range, slots: range):
-    """The (t, slot) pairs, t in `ts` and slot in `slots`, where a Hom
-    functor leaves the chain inexact, in the order of t, then of the slot.
+def _inexact_windows(summands, entries, l: int, ts: range, slots: range):
+    """The (t, slot) pairs, t in `ts` and slot in `slots`, where Hom(t, -)
+    leaves the chain inexact, in the order of t, then of the slot.
 
     summands[k] holds the sorted positions of object k, and entries[k] is
-    the matrix of the map object k -> object k+1.  The functor at t is the
-    window [t + a, t + b] of positions it does not kill: Hom(t, -) has the
-    offsets (0, l-1) and Hom(-, t) has (-(l-1), 0).  It sends a map to its
-    entry matrix cut down to the summands in the window, and Hom(-, t) also
-    transposes it and reverses the chain.  Transposing keeps every rank,
-    and a product vanishes exactly when its transpose does, so both
-    functors take the same test at each slot s, in chain order:
-    rank(in) + rank(out) = dim together with out o in = 0.  A slot whose
-    window space is zero is exact.
+    the matrix of the map object k -> object k+1.  Hom(t, -) keeps the
+    window [t, t + l - 1] of positions and sends a map to its entry matrix
+    cut down to the summands in the window.  Exactness at slot s is
+    rank(in) + rank(out) = dim together with out o in = 0; a slot whose
+    window space is zero is exact.  Hom(-, t) fails exactly where
+    Hom(t - l + 1, -) does, so a contravariant test passes `ts` moved by
+    -(l - 1).
 
     The summands of the whole chain are sorted once as (position, object,
     index), so a window keeps one slice of that list, found by two
     bisections.  The slice changes only at a breakpoint, a t where a
-    summand enters the window (t = q - b) or leaves it (t = q - a + 1), so
+    summand enters the window (t = q - l + 1) or leaves it (t = q + 1), so
     t is walked in runs between breakpoints: each run's slice is tested
     once, at the objects it touches, and its failing slots are reported
     for every t of the run.  An empty run costs nothing.  A cut is fixed by
@@ -378,7 +370,7 @@ def _inexact_windows(summands, entries, a: int, b: int, ts: range, slots: range)
     tags = sorted((q, k, i) for k, qs in enumerate(summands) for i, q in enumerate(qs))
     pos = [q for q, _, _ in tags]
     starts = sorted(
-        {ts.start} | {t for q in pos for t in (q - b, q - a + 1) if ts.start < t < ts.stop}
+        {ts.start} | {t for q in pos for t in (q - l + 1, q + 1) if ts.start < t < ts.stop}
     )
     ranks = {}
 
@@ -391,7 +383,7 @@ def _inexact_windows(summands, entries, a: int, b: int, ts: range, slots: range)
     failures = []
     for start, stop in zip(starts, starts[1:] + [ts.stop]):
         keep = {}  # object -> (first, stop) of the summand indices in the window
-        for _, k, i in tags[bisect_left(pos, start + a):bisect_right(pos, start + b)]:
+        for _, k, i in tags[bisect_left(pos, start):bisect_right(pos, start + l - 1)]:
             keep[k] = (keep[k][0] if k in keep else i, i + 1)
         bad = []
         for s in sorted(keep):
@@ -412,39 +404,41 @@ def _inexact_windows(summands, entries, a: int, b: int, ts: range, slots: range)
     return failures
 
 
+def _exact_in_f(params: FamilyParams, objects, maps, first: int, slots: range) -> bool:
+    """Hom(t, -) leaves the complex exact at `slots` for the period of test
+    vertices t from `first` on; maps over other parameters raise."""
+    if any(m.params != params for m in maps):
+        raise ShapeMismatch("chain maps live over different parameters")
+    return not _inexact_windows(
+        [o.summands for o in objects], [m.entries for m in maps], params.l,
+        range(first, first + params.period), slots,
+    )
+
+
 def check_d_kernel(chain: FLevelChain, mu: Morphism) -> bool:
     """Definition-level test: 0 -> chain -> target(mu) exact under Hom(f_t, -)."""
-    p = chain.params
     if chain.objects[-1] != mu.source:
         raise ShapeMismatch("chain must end at the source of mu")
-    summands = [o.summands for o in chain.objects + (mu.target,)]
-    entries = [m.entries for m in chain.maps] + [mu.entries]
-    return not _inexact_windows(
-        summands, entries, 0, p.l - 1, range(1, p.period + 1), range(len(chain.objects))
-    )
+    objects, maps = chain.objects + (mu.target,), chain.maps + (mu,)
+    return _exact_in_f(chain.params, objects, maps, 1, range(len(objects) - 1))
 
 
 def check_d_cokernel(chain: FLevelChain, mu: Morphism) -> bool:
-    """Dual test: source(mu) -> chain -> 0 exact under Hom(-, f_t)."""
+    """Dual test: source(mu) -> chain -> 0 exact under Hom(-, f_t), which
+    fails where Hom(t - l + 1, -) does."""
     p = chain.params
     if chain.objects[0] != mu.target:
         raise ShapeMismatch("chain must start at the target of mu")
-    summands = [o.summands for o in (mu.source,) + chain.objects]
-    entries = [mu.entries] + [m.entries for m in chain.maps]
-    return not _inexact_windows(
-        summands, entries, 1 - p.l, 0, range(1, p.period + 1), range(1, len(summands))
-    )
+    objects, maps = (mu.source,) + chain.objects, (mu,) + chain.maps
+    return _exact_in_f(p, objects, maps, 2 - p.l, range(1, len(objects)))
 
 
 def check_d_exact(chain: FLevelChain) -> bool:
     """Both functor tests on a full d+2 term sequence."""
-    p = chain.params
-    summands = [o.summands for o in chain.objects]
-    entries = [m.entries for m in chain.maps]
-    n, ts = len(summands), range(1, p.period + 1)
-    return not (
-        _inexact_windows(summands, entries, 0, p.l - 1, ts, range(n - 1))
-        or _inexact_windows(summands, entries, 1 - p.l, 0, ts, range(1, n))
+    p, n = chain.params, len(chain.objects)
+    return all(
+        _exact_in_f(p, chain.objects, chain.maps, first, slots)
+        for first, slots in ((1, range(n - 1)), (2 - p.l, range(1, n)))
     )
 
 
@@ -470,8 +464,9 @@ def check_hom_exactness(a: Angle) -> ExactnessReport:
     complex.  All of them go through one sweep of the kernel: runs of t
     whose window keeps the same summands are tested once, runs with no
     summand cost nothing, and the three period copies share their entry
-    matrices and so the ranks of their cuts.  The contravariant functors
-    would be the offsets (-(l-1), 0) in one more sweep.
+    matrices and so the ranks of their cuts.  Hom(-, t) fails exactly
+    where Hom(t - l + 1, -) does, so this also decides the contravariant
+    exactness of the angle, at the failures' t moved by l - 1.
     """
     p = a.params
     positions = [q for o in a.objects for q in o.summands]
@@ -482,7 +477,7 @@ def check_hom_exactness(a: Angle) -> ExactnessReport:
     ]
     entries = ([m.entries for m in a.maps] * 3)[:-1]
     failures = _inexact_windows(
-        summands, entries, 0, p.l - 1,
+        summands, entries, p.l,
         range(min(positions) - p.period - p.l + 1, max(positions) + p.period + 1),
         range(1, len(summands) - 1),
     )

@@ -5,7 +5,7 @@ re-exported from there.  The Hom-exactness references select Hom spaces by
 walking the quiver and build the contravariant complex reversed and
 transposed, as the definition reads, instead of the library's single
 position-window kernel; `hom_exactness_reference` extends an angle by
-shifted Morphisms instead of reusing its entry matrices.
+shifted Morphisms (`extended_chain`) instead of reusing its entry matrices.
 `add_mor` adds parallel morphisms entrywise, for the bilinearity test.
 The split references decide split epis and monos by building the factor
 through the identity, as the definition reads, where the library only asks
@@ -196,20 +196,25 @@ def d_exact_reference(chain):
     )
 
 
+def extended_chain(a):
+    """Objects and maps of the angle extended by one period on each side
+    with `shift_mor`, as the infinite sequence reads."""
+    maps = [shift_mor(m, r) for r in (-1, 0, 1) for m in a.maps][:-1]
+    return [m.source for m in maps] + [maps[-1].target], maps
+
+
 def hom_exactness_reference(a):
     """The (vertex, slot) failures of every Hom(t, -) across the angle.
 
-    The angle is extended by one period on each side with `shift_mor`, as
-    the infinite sequence reads, and each test vertex t in [min position -
-    period - l + 1, max position + period] walks the quiver for its Hom
-    spaces; the failures come in the order of t, then of the slot.
+    Each test vertex t in [min position - period - l + 1, max position +
+    period] walks the quiver for its Hom spaces over `extended_chain(a)`;
+    the failures come in the order of t, then of the slot.
     """
     p = a.params
     positions = [q for o in a.objects for q in o.summands]
     if not positions:
         return ()
-    maps = [shift_mor(m, r) for r in (-1, 0, 1) for m in a.maps][:-1]
-    objects = [m.source for m in maps] + [maps[-1].target]
+    objects, maps = extended_chain(a)
     slots = range(1, len(objects) - 1)
     return tuple(
         (t, s)

@@ -302,11 +302,32 @@ class TestWindowChains:
         for i in range(1, p.period + 1):
             for j in range(i + 1, min(i + p.l, p.period + 1)):
                 mu = basis_mor(p, i, j)
-                assert check_d_kernel(d_kernel(p, i, j), mu)
-                assert check_d_cokernel(d_cokernel(p, i, j), mu)
+                kernel, cokernel = d_kernel(p, i, j), d_cokernel(p, i, j)
+                assert check_d_kernel(kernel, mu)
+                assert check_d_cokernel(cokernel, mu)
                 exact = d_exact_seq(p, i, j)
                 assert check_d_exact(exact)
                 assert sum(1 for o in exact.objects if not o.is_zero) == p.d + 2
+                # f_i, f_j are neighbours on the ladder: the d-kernel and the
+                # d-cokernel are its zero-padded head and tail
+                ladder = [o for o in kernel.objects + cokernel.objects if not o.is_zero]
+                assert tuple(ladder) == exact.objects
+
+    def test_maps_over_other_parameters_rejected(self, p449, p223):
+        # the checks read l and the period off the chain, so a map over
+        # another triple would be tested against the wrong windows
+        with pytest.raises(ShapeMismatch):
+            check_d_kernel(d_kernel(p449, 3, 5), basis_mor(p223, 3, 4))
+        with pytest.raises(ShapeMismatch):
+            check_d_cokernel(d_cokernel(p449, 3, 5), basis_mor(p223, 4, 5))
+        kernel = d_kernel(p223, 1, 2)  # 0 -> 0 -> f1 over (2,2,3)
+        with pytest.raises(ShapeMismatch):
+            check_d_kernel(
+                FLevelChain(p449, "kernel", kernel.objects, kernel.maps), basis_mor(p449, 1, 2)
+            )
+        exact = d_exact_seq(p223, 1, 2)
+        with pytest.raises(ShapeMismatch):
+            check_d_exact(FLevelChain(p449, "exact", exact.objects, exact.maps))
 
     def test_bad_pairs_rejected(self, p449):
         with pytest.raises(BadDistance):

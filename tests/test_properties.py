@@ -54,7 +54,10 @@ from oracles import (
     d_cokernel_reference,
     d_exact_reference,
     d_kernel_reference,
+    extended_chain,
     hom_exactness_reference,
+    hom_from_inexact_slots,
+    hom_into_inexact_slots,
     matching_connector,
     split_epi_reference,
     split_mono_reference,
@@ -375,6 +378,37 @@ def test_hom_exactness_matches_reference_at_session_shapes(p, data):
     if data.draw(st.booleans()):
         a = with_map_zeroed(a, data.draw(st.integers(0, len(a.maps) - 1)))
     assert check_hom_exactness(a).failures == hom_exactness_reference(a)
+
+
+@given(params_st, st.data())
+@settings(max_examples=60, deadline=None)
+def test_hom_into_t_fails_where_hom_from_t_minus_l_plus_1_does(p, data):
+    # Hom(-, t) keeps the positions [t - l + 1, t] that Hom(t - l + 1, -)
+    # keeps, so the quiver-walking references agree slot by slot, and the
+    # covariant oracle moved by l - 1 is the contravariant reference; on
+    # minimal and AR angles, as built or with one map zeroed or scaled
+    i = data.draw(st.integers(-p.period, 2 * p.period))
+    if data.draw(st.booleans()):
+        a = ar_angle(p, i)
+    else:
+        a = min_angle(basis_mor(p, i, i + data.draw(st.integers(1, p.l - 1))))
+    k = data.draw(st.integers(0, len(a.maps) - 1))
+    c = data.draw(st.sampled_from([1, 0, 2, -1]))
+    if c == 0:
+        a = with_map_zeroed(a, k)
+    elif c != 1:
+        a = Angle(p, a.objects, a.maps[:k] + (scale(a.maps[k], c),) + a.maps[k + 1:])
+    objects, maps = extended_chain(a)
+    positions = [q for o in a.objects for q in o.summands]
+    ts = range(min(positions) - p.period, max(positions) + p.period + p.l)
+    for t in ts:
+        assert hom_into_inexact_slots(p, objects, maps, t, range(len(objects))) == (
+            hom_from_inexact_slots(p, objects, maps, t - p.l + 1, range(len(objects)))
+        )
+    slots = range(1, len(objects) - 1)
+    into = [(t, s) for t in ts for s in hom_into_inexact_slots(p, objects, maps, t, slots)]
+    moved = [(t + p.l - 1, s) for t, s in check_hom_exactness(a).failures]
+    assert moved == into
 
 
 @given(factor_params_st, st.data())
