@@ -47,6 +47,8 @@ from .core import (
     zero_mor,
 )
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 @dataclass(frozen=True)
 class Angle:
@@ -129,16 +131,12 @@ def rotate_left(a: Angle) -> Angle:
     return Angle(p, objects, maps)
 
 
-def _turned_right(params: FamilyParams, objects, maps):
-    """Objects and maps of a chain rotated one slot to the right."""
-    return (
-        (shift_obj(params, objects[-1], -1),) + objects[:-1],
-        (shift_mor(maps[-1], -1),) + maps[:-1],
-    )
-
-
 def rotate_right(a: Angle) -> Angle:
-    return Angle(a.params, *_turned_right(a.params, a.objects, a.maps))
+    """Drop the last object, prepend its inverse shift; undoes rotate_left."""
+    p = a.params
+    objects = (shift_obj(p, a.objects[-1], -1),) + a.objects[:-1]
+    maps = (shift_mor(a.maps[-1], -1),) + a.maps[:-1]
+    return Angle(p, objects, maps)
 
 
 def shift_angle(a: Angle, r: int) -> Angle:
@@ -150,19 +148,14 @@ def shift_angle(a: Angle, r: int) -> Angle:
     )
 
 
-def _summed(chains):
-    """Slot-wise direct sum of (objects, maps) chains, not yet validated;
-    object k of the sum is the source of summed map k."""
-    maps = tuple(direct_sum_mor(*mors) for mors in zip(*(m for _, m in chains)))
-    return tuple(m.source for m in maps), maps
-
-
 def direct_sum(first: Angle, *rest: Angle) -> Angle:
-    """Slot-wise direct sum of one or more angles, validated once.
+    """Slot-wise direct sum of one or more angles, validated once; object k
+    of the sum is the source of summed map k.
 
     Angles over different parameters raise ShapeMismatch in direct_sum_mor.
     """
-    return Angle(first.params, *_summed([(a.objects, a.maps) for a in (first, *rest)]))
+    maps = tuple(direct_sum_mor(*mors) for mors in zip(*(a.maps for a in (first, *rest))))
+    return Angle(first.params, tuple(m.source for m in maps), maps)
 
 
 def _single_entry(mor: Morphism) -> Fraction | None:
@@ -171,30 +164,21 @@ def _single_entry(mor: Morphism) -> Fraction | None:
     return None
 
 
-def _min_chain(mu: Morphism):
-    """Objects and maps of the minimal angle on mu: u(x -> y) scaled, 1 <= y - x <= l - 1."""
-    p = mu.params
-    x = mu.source.summands[0]
-    y = mu.target.summands[0]
-    delta = y - x
+def _min_positions(p: FamilyParams, x: int, y: int) -> list[int]:
+    """Sorted positions of the minimal angle on u(x -> y), 1 <= y - x <= l - 1:
+    y - r*l and x - r*l for 0 <= r <= d/2, so the last two are x and y."""
     half = p.d // 2
     positions = sorted(
         [y - r * p.l for r in range(half + 1)] + [x - r * p.l for r in range(half + 1)]
     )
-    # alternating gaps delta, l - delta; total span m - 1 + delta
+    # alternating gaps y - x, l - (y - x); total span m - 1 + (y - x)
     gaps = [b - a for a, b in zip(positions, positions[1:])]
     if (
-        gaps != [delta if k % 2 == 0 else p.l - delta for k in range(p.d + 1)]
-        or positions[-1] - positions[0] != p.m - 1 + delta
+        gaps != [y - x if k % 2 == 0 else p.l - (y - x) for k in range(p.d + 1)]
+        or positions[-1] - positions[0] != p.m - 1 + y - x
     ):
         raise InternalError(f"minimal angle positions {positions} break the gap law")
-    objects = tuple(indec(q) for q in positions)
-    maps = [
-        basis_mor(p, a, b) for a, b in zip(positions, positions[1:])
-    ]
-    maps[-1] = mu  # slot (X^d -> X^{d+1})
-    maps.append(basis_mor(p, positions[-1], positions[0] + p.period))
-    return objects, tuple(maps)
+    return positions
 
 
 def min_angle(mu: Morphism) -> Angle:
@@ -211,68 +195,69 @@ def min_angle(mu: Morphism) -> Angle:
     entry = _single_entry(mu)
     if entry is None or entry == 0:
         raise BadDistance("min_angle needs a nonzero morphism between single vertices")
-    delta = mu.target.summands[0] - mu.source.summands[0]
-    if delta >= p.l or delta < 0:
-        raise BadDistance(f"distance {delta} admits no nonzero morphism")
-    if delta == 0:
+    x, y = mu.source.summands[0], mu.target.summands[0]
+    if y - x >= p.l or y - x < 0:
+        raise BadDistance(f"distance {y - x} admits no nonzero morphism")
+    if x == y:
         return trivial_angle(p, mu.source, entry)
-    return Angle(p, *_min_chain(mu))
+    positions = _min_positions(p, x, y)
+    maps = [basis_mor(p, a, b) for a, b in zip(positions, positions[1:-1])]
+    maps += [mu, basis_mor(p, y, positions[0] + p.period)]  # mu in slot d
+    return Angle(p, tuple(indec(q) for q in positions), tuple(maps))
 
 
 def extend(delta: Morphism) -> Angle:
-    """Some angle whose connecting map is `delta`.
+    """Some angle whose connecting map is `delta`, assembled in one pass.
 
     The support of `delta` must be a partial matching of summands (no row
     or column with two nonzero cells); otherwise ShapeMismatch.  The angle
-    is the direct sum of these blocks in this order: per nonzero cell e
-    from source vertex y to target vertex x, row by row, the minimal chain
-    on e*u(y -> x) turned right, or for x = y the contractible chain with
-    e*id_x in the connector slot; per target summand x without a cell, the
-    contractible chain with id in slot 0 on shift(x, -1); per source
-    summand y without a cell, the one with id in slot d on y.  Both of the
-    last two have connector zero.  The blocks are plain chains and only
-    their sum is validated: it is block diagonal, so its composites vanish
-    exactly when every block's do, and one Angle is built per call.
+    is the direct sum of blocks with one vertex or zero per object, in this
+    order: per nonzero cell from source vertex x to target vertex y, row by
+    row, the minimal chain on u(x -> y) turned right, or for x = y the chain
+    y - period, 0, ..., 0, x; per target summand y without a cell,
+    y - period twice, then zeros; per source summand x without one, zeros,
+    then x twice.  Every block map but the connector has coefficient one, so
+    a block is its positions: each middle object is one sort of them, equal
+    positions in block order, and each of the d+1 maps before the connector
+    is the 0/1 matrix joining a block's vertices.  Object 0 is
+    shift(target, -1) and object d+1 the source, both in delta's own order
+    (equal positions go by row and by column index), so `delta` itself is
+    the connector and nothing is permuted back.  The sum is block diagonal,
+    so its composites vanish exactly when every block's do; the one Angle
+    built per call validates them.
     """
     p = delta.params
+    n = p.d + 2
     src, tgt = delta.source.summands, delta.target.summands
-    cells = [
-        (i, j, e) for i, row in enumerate(delta.entries) for j, e in enumerate(row) if e
-    ]
-    rows, cols = [i for i, _, _ in cells], [j for _, j, _ in cells]
-    if len(set(rows)) < len(cells) or len(set(cols)) < len(cells):
+    cells = [(i, j) for i, row in enumerate(delta.entries) for j, e in enumerate(row) if e]
+    rows, cols = {i for i, _ in cells}, {j for _, j in cells}
+    if len(rows) < len(cells) or len(cols) < len(cells):
         raise ShapeMismatch("connector support must be a partial matching")
     lone_rows = [i for i in range(len(tgt)) if i not in rows]
     lone_cols = [j for j in range(len(src)) if j not in cols]
-    chains = [
-        _turned_right(p, *_min_chain(Morphism(p, indec(src[j]), indec(tgt[i]), ((e,),))))
-        if src[j] != tgt[i]
-        else _contractible(p, indec(src[j]), p.d + 1, e)  # min_angle puts an iso in slot 0
-        for i, j, e in cells
+    middles = [  # per block, its position or None at objects 1..d
+        _min_positions(p, src[j], tgt[i])[:-2] if src[j] != tgt[i] else (None,) * p.d
+        for i, j in cells
     ]
-    chains += [_contractible(p, indec(tgt[i] - p.period), 0) for i in lone_rows]
-    chains += [_contractible(p, indec(src[j]), p.d) for j in lone_cols]
-    if not chains:
-        return trivial_angle(p, ZERO_OBJ)
-    objects, maps = _summed(chains)
-    if maps[-1] != delta:
-        # The sum orders equal positions by block: row k of its connector is
-        # row row_at[k] of delta and column k is column col_at[k].  Permuting
-        # the columns of maps[0] and the rows of maps[d] back is an
-        # isomorphism of chains (only equal positions trade places) onto one
-        # ending in delta.
-        row_at = sorted(rows + lone_rows, key=tgt.__getitem__)
-        col_at = sorted(cols + lone_cols, key=src.__getitem__)
-        row_back = sorted(range(len(tgt)), key=row_at.__getitem__)
-        col_back = sorted(range(len(src)), key=col_at.__getitem__)
-        m0, md = maps[0], maps[p.d]
-        m0 = Morphism(
-            p, m0.source, m0.target,
-            tuple(tuple(row[k] for k in row_back) for row in m0.entries),
-        )
-        md = Morphism(p, md.source, md.target, tuple(md.entries[k] for k in col_back))
-        maps = (m0, *maps[1:p.d], md, delta)
-    return Angle(p, objects, maps)
+    middles += [(tgt[i] - p.period,) + (None,) * (p.d - 1) for i in lone_rows]
+    middles += [(None,) * (p.d - 1) + (src[j],) for j in lone_cols]
+    ends = cells + [(i, None) for i in lone_rows] + [(None, j) for j in lone_cols]
+    at = [[i, *[None] * p.d, j] for i, j in ends]  # at[b][k]: block b's index in object k
+    objects = [shift_obj(p, delta.target, -1)]
+    for k in range(1, n - 1):
+        tags = sorted((qs[k - 1], b) for b, qs in enumerate(middles) if qs[k - 1] is not None)
+        for c, (_, b) in enumerate(tags):
+            at[b][k] = c
+        objects.append(SumObject(tuple(q for q, _ in tags)))
+    objects.append(delta.source)
+    maps = []
+    for k in range(n - 1):
+        ents = [[_ZERO] * len(objects[k]) for _ in objects[k + 1].summands]
+        for b in at:
+            if b[k] is not None and b[k + 1] is not None:
+                ents[b[k + 1]][b[k]] = _ONE
+        maps.append(Morphism(p, objects[k], objects[k + 1], tuple(map(tuple, ents))))
+    return Angle(p, tuple(objects), (*maps, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +391,14 @@ def _inexact_windows(summands, entries, l: int, ts: range, slots: range):
 
 def _exact_in_f(params: FamilyParams, objects, maps, first: int, slots: range) -> bool:
     """Hom(t, -) leaves the complex exact at `slots` for the period of test
-    vertices t from `first` on; maps over other parameters raise."""
+    vertices t from `first` on; maps over other parameters, or not from
+    object k to object k + 1, raise."""
     if any(m.params != params for m in maps):
         raise ShapeMismatch("chain maps live over different parameters")
+    if len(maps) != len(objects) - 1 or any(
+        m.source != a or m.target != b for m, a, b in zip(maps, objects, objects[1:])
+    ):
+        raise ShapeMismatch("map k of a chain must go from object k to object k + 1")
     return not _inexact_windows(
         [o.summands for o in objects], [m.entries for m in maps], params.l,
         range(first, first + params.period), slots,

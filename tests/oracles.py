@@ -11,8 +11,11 @@ The split references decide split epis and monos by building the factor
 through the identity, as the definition reads, where the library only asks
 whether the factor system is solvable.  `matching_connector` builds the
 partial-matching connectors that `extend` is tested on, from drawn pairs,
-and `with_map_zeroed` spoils an angle so that the exactness tests see
-failures too.
+`ties_reordered` trades their slots of equal position, and
+`extend_reference` is the construction `extend` replaced: validated
+block angles summed slot-wise, then permuted back onto the connector.
+`with_map_zeroed` spoils an angle so that the exactness tests see failures
+too.
 """
 
 from angulated import (
@@ -20,12 +23,18 @@ from angulated import (
     Morphism,
     ShapeMismatch,
     SumObject,
+    ZERO_OBJ,
     identity_mor,
+    indec,
     linalg,
+    min_angle,
+    rotate_left,
+    rotate_right,
     shift_mor,
+    trivial_angle,
     zero_mor,
 )
-from angulated.core import left_factor, right_factor
+from angulated.core import direct_sum_mor, left_factor, right_factor
 from angulated.verify import block_iso_oracle  # noqa: F401
 
 
@@ -95,6 +104,74 @@ def matching_connector(params, pairs, lone_sources, lone_targets):
         SumObject(tuple(t for t, _ in tgt)),
         tuple(map(tuple, ents)),
     )
+
+
+def ties_reordered(delta, rows, cols):
+    """`delta` with its rows read in the order `rows` and its columns in the
+    order `cols`, each then sorted stably by position: only slots of equal
+    position trade places, so the source and target stay the same.
+    `matching_connector` always puts a matched slot before an unmatched one
+    of the same position; this reaches the other orders."""
+    src, tgt = delta.source.summands, delta.target.summands
+    rows, cols = sorted(rows, key=tgt.__getitem__), sorted(cols, key=src.__getitem__)
+    ents = tuple(tuple(delta.entries[i][j] for j in cols) for i in rows)
+    return Morphism(delta.params, delta.source, delta.target, ents)
+
+
+def extend_reference(delta):
+    """An angle ending in the partial-matching connector `delta`, built the
+    long way.
+
+    One validated block angle per nonzero cell e from x to y, row by row:
+    the minimal angle on e*u(x -> y) turned right, or for x = y the
+    contractible angle with e*id in the connector slot; then one per target
+    summand without a cell (id in slot 0) and one per source summand
+    without a cell (id in slot d), each rotated into place.  The blocks are
+    summed slot-wise with `direct_sum_mor`, which orders equal positions by
+    block, and the sum is permuted back: the columns of map 0, the rows of
+    map d and both sides of the connector go to delta's row and column
+    order.  Nothing puts `delta` in; the connector comes out of the sum.
+    """
+    p = delta.params
+    src, tgt = delta.source.summands, delta.target.summands
+    cells = [(i, j, e) for i, row in enumerate(delta.entries) for j, e in enumerate(row) if e]
+    rows, cols = [i for i, _, _ in cells], [j for _, j, _ in cells]
+    if len(set(rows)) < len(cells) or len(set(cols)) < len(cells):
+        raise ShapeMismatch("connector support must be a partial matching")
+    lone_rows = [i for i in range(len(tgt)) if i not in rows]
+    lone_cols = [j for j in range(len(src)) if j not in cols]
+    blocks = [
+        rotate_right(min_angle(Morphism(p, indec(src[j]), indec(tgt[i]), ((e,),))))
+        if src[j] != tgt[i]
+        else rotate_left(trivial_angle(p, indec(src[j] - p.period), e))
+        for i, j, e in cells
+    ]
+    blocks += [trivial_angle(p, indec(tgt[i] - p.period)) for i in lone_rows]
+    blocks += [
+        rotate_left(rotate_left(trivial_angle(p, indec(src[j] - p.period))))
+        for j in lone_cols
+    ]
+    if not blocks:
+        return trivial_angle(p, ZERO_OBJ)
+    maps = [direct_sum_mor(*mors) for mors in zip(*(b.maps for b in blocks))]
+    # slot k of object 0 holds delta's row row_at[k], of object d+1 its
+    # column col_at[k]: the block order, sorted stably by position
+    row_at = sorted(rows + lone_rows, key=tgt.__getitem__)
+    col_at = sorted(cols + lone_cols, key=src.__getitem__)
+    row_slot = {i: k for k, i in enumerate(row_at)}
+    col_slot = {j: k for k, j in enumerate(col_at)}
+    m0, md, conn = maps[0], maps[p.d], maps[-1]
+    maps[0] = Morphism(p, m0.source, m0.target, tuple(
+        tuple(row[row_slot[i]] for i in range(len(tgt))) for row in m0.entries
+    ))
+    maps[p.d] = Morphism(p, md.source, md.target, tuple(
+        md.entries[col_slot[j]] for j in range(len(src))
+    ))
+    maps[-1] = Morphism(p, conn.source, conn.target, tuple(
+        tuple(conn.entries[row_slot[i]][col_slot[j]] for j in range(len(src)))
+        for i in range(len(tgt))
+    ))
+    return Angle(p, tuple(m.source for m in maps), tuple(maps))
 
 
 def with_map_zeroed(a, k):

@@ -42,6 +42,7 @@ from angulated.core import scale
 
 from oracles import (
     angle_objects,
+    extend_reference,
     hom_exactness_reference,
     matching_connector,
     with_map_zeroed,
@@ -234,11 +235,11 @@ class TestExtend:
             extend(bad)
 
     def test_validates_one_angle_per_call(self, monkeypatch, p223):
-        # the blocks are plain chains; only the returned sum is an Angle,
-        # also when equal positions are permuted back into delta's order
+        # no block is built as an Angle; only the returned sum is one, also
+        # where equal positions from different blocks meet
         rng = random.Random(8)
         connectors = [
-            matching_connector(p223, [(0, 1, 1), (0, 0, 1)], [], []),  # permuted
+            matching_connector(p223, [(0, 1, 1), (0, 0, 1)], [], []),  # equal sources
             zero_mor(p223, ZERO_OBJ, ZERO_OBJ),
         ]
         for triple in ((2, 2, 3), (4, 4, 9), (6, 3, 10), (10, 2, 11)):
@@ -265,21 +266,27 @@ class TestExtend:
 
     def test_morphisms_built_on_the_session_gate_connectors(self, monkeypatch):
         # The 100 `exactness` requests of the query-session gate seed, each
-        # a connector and its `extend`.  A contractible block shares one
-        # 0 -> 0 map among its zero slots; 201 blocks need one.
+        # a connector and its `extend`.  Per call: the connector and its two
+        # objects; d new middle objects and shift(target, -1); the d+1 maps
+        # before the connector; and Angle validation's d+1 composites, its
+        # shifted connector (three objects) and its wrap composite.
         requests = _gate_exactness_requests()
         assert len(requests) == 100
-        built = [0]
-        post_init = Morphism.__post_init__
+        built = {Morphism: 0, SumObject: 0}
+        for cls in built:
+            post_init = cls.__post_init__
 
-        def counting(self):
-            built[0] += 1
-            post_init(self)
+            def counting(self, cls=cls, post_init=post_init):
+                built[cls] += 1
+                post_init(self)
 
-        monkeypatch.setattr(Morphism, "__post_init__", counting)
+            monkeypatch.setattr(cls, "__post_init__", counting)
         for p, (src, tgt, ents) in requests:
             extend(Morphism(p, SumObject(src), SumObject(tgt), ents))
-        assert built[0] == 3341
+        assert (built[Morphism], built[SumObject]) == (
+            sum(2 * p.d + 5 for p, _ in requests), sum(p.d + 6 for p, _ in requests)
+        )
+        assert (built[Morphism], built[SumObject]) == (1412, 1056)
 
 
 class TestWindowChains:
@@ -312,6 +319,27 @@ class TestWindowChains:
                 # d-cokernel are its zero-padded head and tail
                 ladder = [o for o in kernel.objects + cokernel.objects if not o.is_zero]
                 assert tuple(ladder) == exact.objects
+
+    # A map that does not go from object k to object k+1 would be cut
+    # against the wrong summands; each check raises, as Angle does.
+    def test_misaligned_kernel_chain_rejected(self, p449):
+        f1, f1f2 = indec(1), SumObject((1, 2))
+        chain = FLevelChain(p449, "kernel", (f1, f1f2), (basis_mor(p449, 1, 2),))
+        mu = Morphism(p449, f1f2, indec(3), ((1, 1),))
+        with pytest.raises(ShapeMismatch, match="object k"):
+            check_d_kernel(chain, mu)
+
+    def test_misaligned_cokernel_chain_rejected(self, p449):
+        f3, f3f4 = indec(3), SumObject((3, 4))
+        chain = FLevelChain(p449, "cokernel", (f3, f3f4), (basis_mor(p449, 3, 4),))
+        with pytest.raises(ShapeMismatch, match="object k"):
+            check_d_cokernel(chain, basis_mor(p449, 2, 3))
+
+    def test_misaligned_exact_chain_rejected(self, p449):
+        exact = d_exact_seq(p449, 3, 6)  # 2, 3, 6, 7, 10, 11
+        maps = exact.maps[:2] + (basis_mor(p449, 7, 10),) + exact.maps[3:]
+        with pytest.raises(ShapeMismatch, match="object k"):
+            check_d_exact(FLevelChain(p449, "exact", exact.objects, maps))
 
     def test_maps_over_other_parameters_rejected(self, p449, p223):
         # the checks read l and the period off the chain, so a map over
@@ -413,10 +441,13 @@ class TestHomExactnessOracle:
 
     def test_session_gate_angles_match_the_reference(self):
         # each gate angle as built, and with map n mod (d+2) zeroed; the
-        # reference walks every test vertex and builds shifted Morphisms
+        # reference walks every test vertex and builds shifted Morphisms.
+        # Each angle is also the one the old block-sum construction builds.
         spoiled = 0
         for n, (p, (src, tgt, ents)) in enumerate(_gate_exactness_requests()):
-            a = extend(Morphism(p, SumObject(src), SumObject(tgt), ents))
+            delta = Morphism(p, SumObject(src), SumObject(tgt), ents)
+            a = extend(delta)
+            assert a == extend_reference(delta)
             for b in (a, with_map_zeroed(a, n % len(a.maps))):
                 report = check_hom_exactness(b)
                 assert report.failures == hom_exactness_reference(b)

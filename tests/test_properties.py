@@ -54,6 +54,7 @@ from oracles import (
     d_cokernel_reference,
     d_exact_reference,
     d_kernel_reference,
+    extend_reference,
     extended_chain,
     hom_exactness_reference,
     hom_from_inexact_slots,
@@ -61,6 +62,7 @@ from oracles import (
     matching_connector,
     split_epi_reference,
     split_mono_reference,
+    ties_reordered,
     with_map_zeroed,
 )
 
@@ -335,14 +337,20 @@ _SCALARS_ST = st.sampled_from(
 def _draw_connector(data, p, periods=1):
     """1-3 matched pairs s -> s + D (0 <= D <= l - 1) with scalars n/q, and
     0-2 unmatched summands on each side; positions lie within `periods`
-    periods of 0 and may repeat."""
+    periods of 0 and may repeat, and slots of equal position come in any
+    order, matched or not."""
     pos_st = st.integers(-periods * p.period, periods * p.period)
     pairs = [
         (s, s + data.draw(st.integers(0, p.l - 1)), data.draw(_SCALARS_ST))
         for s in data.draw(st.lists(pos_st, min_size=1, max_size=3))
     ]
     lone = st.lists(pos_st, max_size=2)
-    return matching_connector(p, pairs, data.draw(lone), data.draw(lone))
+    delta = matching_connector(p, pairs, data.draw(lone), data.draw(lone))
+    return ties_reordered(
+        delta,
+        data.draw(st.permutations(range(len(delta.target)))),
+        data.draw(st.permutations(range(len(delta.source)))),
+    )
 
 
 @given(params_st, st.data())
@@ -352,6 +360,22 @@ def test_extend_realises_every_partial_matching(p, data):
     a = extend(delta)
     assert a.connecting == delta
     assert check_hom_exactness(a).ok
+
+
+SESSION_PARAMS = [
+    validate_params(*t)
+    for t in ((2, 2, 3), (4, 4, 9), (2, 3, 4), (6, 3, 10), (10, 2, 11), (2, 6, 7))
+]
+
+
+@given(st.sampled_from(SESSION_PARAMS), st.sampled_from([0, 1, 3]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_extend_is_the_summed_block_construction(p, periods, data):
+    # (2,2,3) and the five query-session triples; with every position at 0
+    # (periods = 0) equal positions meet on both sides, and distance-0
+    # cells and unmatched summands are drawn at every span
+    delta = _draw_connector(data, p, periods)
+    assert extend(delta) == extend_reference(delta)
 
 
 @given(params_st, st.data())
