@@ -3,10 +3,12 @@
 Constructions (ar_angle, cover, ar_angle_in) are closed-form position
 arithmetic; the checkers (almost split, minimal, precover, cover) go back
 to the definitions and quantify over indecomposable test objects inside
-the Hom support window, solving each factorisation as an exact rational
-linear system.  Quantifying over sums reduces to indecomposables by
-additivity, and over general morphisms to basis morphisms because every
-Hom space is at most one dimensional.
+the Hom support window.  Each factorisation is exact rational linear
+algebra, one small system per column of the factor (per row for a factor
+on the left): column j of f o g reads only column j of g.  Quantifying
+over sums reduces to indecomposables by additivity, and over general
+morphisms to basis morphisms because every Hom space is at most one
+dimensional.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .core import (
     SumObject,
     ZERO_OBJ,
     _left_solve,
-    _right_factor_system,
+    _right_column,
     _right_solve,
     basis_mor,
     hom_dim,
@@ -126,7 +128,7 @@ def is_right_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
     if is_split_epi(xi):
         return False
     for w in _member_sources(spec, pos):
-        if _right_solve(xi, indec(w), _BASIS)[1] is None:
+        if _right_solve(xi, indec(w), _BASIS) is None:
             return False
     return True
 
@@ -146,7 +148,7 @@ def is_left_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
     if is_split_mono(xi):
         return False
     for w in _member_targets(spec, pos):
-        if _left_solve(xi, indec(w), _BASIS)[1] is None:
+        if _left_solve(xi, indec(w), _BASIS) is None:
             return False
     return True
 
@@ -157,13 +159,16 @@ def is_right_minimal(xi: Morphism) -> bool:
     The solution set is id + K with K the kernel of phi -> xi o phi, a
     right ideal of the endomorphism ring; all of id + K is invertible
     exactly when K sits inside the radical, which is a linear condition
-    checked on a nullspace basis.
+    checked on a nullspace basis.  Column j of xi o phi reads only column
+    j of phi, so K is the sum of one nullspace per summand of the source,
+    and a vector of the column at position q escapes the radical exactly
+    when it is nonzero at a summand at position q.
     """
-    src = xi.source
-    cells, rows, _ = _right_factor_system(xi, src)
-    for vec in linalg.nullspace(rows, len(cells)):
-        for (i, j), v in zip(cells, vec):
-            if v and src.summands[i] == src.summands[j]:
+    src = xi.source.summands
+    for q in src:
+        ks, _, rows = _right_column(xi, q)
+        for vec in linalg.nullspace(rows, len(ks)):
+            if any(v and src[k] == q for k, v in zip(ks, vec)):
                 return False  # psi with xi o psi = 0 escaping the radical
     return True
 
@@ -186,7 +191,7 @@ def is_precover(spec: SubcatSpec, xi: Morphism) -> bool:
             if not hom_dim(p, w, q):
                 continue
             elem = tuple((Fraction(1 if r == i else 0),) for r in range(len(tgt)))
-            if _right_solve(xi, indec(w), elem)[1] is None:
+            if _right_solve(xi, indec(w), elem) is None:
                 return False
     return True
 

@@ -340,102 +340,88 @@ def is_radical(f: Morphism) -> bool:
     )
 
 
-def _allowed_cells(params, src: SumObject, tgt: SumObject) -> list[tuple[int, int]]:
-    return [
-        (i, j)
-        for i, y in enumerate(tgt.summands)
-        for j, x in enumerate(src.summands)
-        if hom_dim(params, x, y)
-    ]
+def _right_column(f: Morphism, q: int):
+    """One column, at position q, of the system g -> f o g.
 
-
-def _mor_from_solution(params, src, tgt, cells, sol) -> Morphism:
-    ents = [[_ZERO] * len(src) for _ in range(len(tgt))]
-    for (i, j), v in zip(cells, sol):
-        ents[i][j] = v
-    return Morphism(params, src, tgt, tuple(tuple(r) for r in ents))
-
-
-def _right_factor_system(f: Morphism, a: SumObject):
-    """Linear system of g -> f o g over the morphisms g: a -> source(f).
-
-    Returns the unknown cells of g, one row per cell (i, j) of the
-    composite that the distance rule keeps, and those cells as row keys.
+    The unknowns are the cells k of that column of g that the distance rule
+    keeps (0 <= src_k - q <= l - 1) and the equations the cells i of that
+    column of f o g it keeps (0 <= tgt_i - q <= l - 1).  Returns the
+    unknowns, the equations and the coefficient rows.
     """
-    p = f.params
-    cells = _allowed_cells(p, a, f.source)
-    cell_index = {cell: n for n, cell in enumerate(cells)}
-    rows, keys = [], []
-    for i, cpos in enumerate(f.target.summands):
-        for j, apos in enumerate(a.summands):
-            if not hom_dim(p, apos, cpos):
-                continue  # composite cell is killed by the distance rule
-            row = [_ZERO] * len(cells)
-            for k in range(len(f.source)):  # distinct cells (k, j): no sums
-                if f.entries[i][k] and (k, j) in cell_index:
-                    row[cell_index[(k, j)]] = f.entries[i][k]
-            rows.append(row)
-            keys.append((i, j))
-    return cells, rows, keys
-
-
-def _left_factor_system(f: Morphism, c: SumObject):
-    """The mirror of `_right_factor_system`: g -> g o f over g: target(f) -> c."""
-    p = f.params
-    cells = _allowed_cells(p, f.target, c)
-    cell_index = {cell: n for n, cell in enumerate(cells)}
-    rows, keys = [], []
-    for i, cpos in enumerate(c.summands):
-        for j, apos in enumerate(f.source.summands):
-            if not hom_dim(p, apos, cpos):
-                continue
-            row = [_ZERO] * len(cells)
-            for k in range(len(f.target)):  # distinct cells (i, k): no sums
-                if f.entries[k][j] and (i, k) in cell_index:
-                    row[cell_index[(i, k)]] = f.entries[k][j]
-            rows.append(row)
-            keys.append((i, j))
-    return cells, rows, keys
+    lmax = f.params.l - 1
+    ks = [k for k, x in enumerate(f.source.summands) if 0 <= x - q <= lmax]
+    eqs = [i for i, y in enumerate(f.target.summands) if 0 <= y - q <= lmax]
+    return ks, eqs, [[f.entries[i][k] for k in ks] for i in eqs]
 
 
 def _right_solve(f: Morphism, a: SumObject, rhs):
-    """(cells, solution or None) of f o g = rhs over g: a -> source(f)."""
-    cells, rows, keys = _right_factor_system(f, a)
-    return cells, linalg.solve(rows, [rhs[i][j] for i, j in keys], len(cells))
+    """Entries of one g: a -> source(f) with f o g = rhs, or None.
+
+    Column j of f o g reads only column j of g, so the system is one small
+    system per column, solved with its free cells at zero: the factor the
+    whole system would give, whose pivots are the union of the columns'.
+    """
+    ents = [[_ZERO] * len(a) for _ in range(len(f.source))]
+    for j, q in enumerate(a.summands):
+        ks, eqs, rows = _right_column(f, q)
+        sol = linalg.solve(rows, [rhs[i][j] for i in eqs], len(ks))
+        if sol is None:
+            return None
+        for k, v in zip(ks, sol):
+            ents[k][j] = v
+    return ents
 
 
 def _left_solve(f: Morphism, c: SumObject, rhs):
-    """(cells, solution or None) of g o f = rhs over g: target(f) -> c."""
-    cells, rows, keys = _left_factor_system(f, c)
-    return cells, linalg.solve(rows, [rhs[i][j] for i, j in keys], len(cells))
+    """Entries of one g: target(f) -> c with g o f = rhs, or None.
+
+    The mirror of `_right_solve`: row i of g o f reads only row i of g, so
+    the system is one small system per row, at position q = c_i, over the
+    cells k with 0 <= q - tgt_k <= l - 1 and the equations j with
+    0 <= q - src_j <= l - 1.
+    """
+    lmax = f.params.l - 1
+    ents = []
+    for i, q in enumerate(c.summands):
+        ks = [k for k, x in enumerate(f.target.summands) if 0 <= q - x <= lmax]
+        eqs = [j for j, y in enumerate(f.source.summands) if 0 <= q - y <= lmax]
+        rows = [[f.entries[k][j] for k in ks] for j in eqs]
+        sol = linalg.solve(rows, [rhs[i][j] for j in eqs], len(ks))
+        if sol is None:
+            return None
+        row = [_ZERO] * len(f.target)
+        for k, v in zip(ks, sol):
+            row[k] = v
+        ents.append(row)
+    return ents
 
 
 def right_factor(f: Morphism, t: Morphism) -> Morphism | None:
     """A morphism g with f o g = t, or None when t does not factor through f."""
     if f.params != t.params or f.target != t.target:
         raise ShapeMismatch("right_factor needs target(f) = target(t)")
-    cells, sol = _right_solve(f, t.source, t.entries)
-    if sol is None:
+    ents = _right_solve(f, t.source, t.entries)
+    if ents is None:
         return None
-    return _mor_from_solution(f.params, t.source, f.source, cells, sol)
+    return Morphism(f.params, t.source, f.source, tuple(map(tuple, ents)))
 
 
 def left_factor(f: Morphism, t: Morphism) -> Morphism | None:
     """A morphism g with g o f = t, or None when t does not extend along f."""
     if f.params != t.params or f.source != t.source:
         raise ShapeMismatch("left_factor needs source(f) = source(t)")
-    cells, sol = _left_solve(f, t.target, t.entries)
-    if sol is None:
+    ents = _left_solve(f, t.target, t.entries)
+    if ents is None:
         return None
-    return _mor_from_solution(f.params, f.target, t.target, cells, sol)
+    return Morphism(f.params, f.target, t.target, tuple(map(tuple, ents)))
 
 
 def is_split_epi(f: Morphism) -> bool:
-    return _right_solve(f, f.target, _eye(len(f.target)))[1] is not None
+    return _right_solve(f, f.target, _eye(len(f.target))) is not None
 
 
 def is_split_mono(f: Morphism) -> bool:
-    return _left_solve(f, f.source, _eye(len(f.source)))[1] is not None
+    return _left_solve(f, f.source, _eye(len(f.source))) is not None
 
 
 def is_iso(f: Morphism) -> bool:

@@ -7,10 +7,13 @@ transposed, as the definition reads, instead of the library's single
 position-window kernel; `hom_exactness_reference` extends an angle by
 shifted Morphisms (`extended_chain`) instead of reusing its entry matrices.
 `add_mor` adds parallel morphisms entrywise, for the bilinearity test.
-The split references decide split epis and monos by building the factor
-through the identity, as the definition reads, where the library only asks
-whether the factor system is solvable.  `matching_connector` builds the
-partial-matching connectors that `extend` is tested on, from drawn pairs,
+`factor_reference` solves a factorisation as one system over every cell
+of the factor, cells chosen by walking the quiver, where the library
+solves one small system per column (per row on the left);
+`right_minimal_reference` takes one nullspace of that whole system, and
+the split references build the factor through the identity with it, as
+the definition reads.  `matching_connector` builds the partial-matching
+connectors that `extend` is tested on, from drawn pairs,
 `ties_reordered` trades their slots of equal position, and
 `extend_reference` is the construction `extend` replaced: validated
 block angles summed slot-wise, then permuted back onto the connector.
@@ -34,7 +37,7 @@ from angulated import (
     trivial_angle,
     zero_mor,
 )
-from angulated.core import direct_sum_mor, left_factor, right_factor
+from angulated.core import direct_sum_mor
 from angulated.verify import block_iso_oracle  # noqa: F401
 
 
@@ -68,14 +71,78 @@ def add_mor(a, b):
     return Morphism(a.params, a.source, a.target, ents)
 
 
+def _factor_system(f, obj, side):
+    """The system of a factorisation over every cell of the factor g.
+
+    side "right": f o g with g: obj -> source(f); side "left": g o f with
+    g: target(f) -> obj.  The unknowns are the cells of g whose Hom space
+    `path_hom_dim` finds nonzero, row by row; there is one equation per
+    cell of the composite that the structure rule keeps.  Returns g's
+    source and target, the cells, the rows and the composite cells.
+    """
+    p = f.params
+    if side == "right":
+        g_src, g_tgt, out_src, out_tgt = obj, f.source, obj, f.target
+    else:
+        g_src, g_tgt, out_src, out_tgt = f.target, obj, f.source, obj
+    cells = [
+        (r, c)
+        for r, y in enumerate(g_tgt.summands)
+        for c, x in enumerate(g_src.summands)
+        if path_hom_dim(p, x, y)
+    ]
+    rows, keys = [], []
+    for i, y in enumerate(out_tgt.summands):
+        for j, x in enumerate(out_src.summands):
+            if not path_hom_dim(p, x, y):
+                continue  # a composite of l consecutive arrows vanishes
+            if side == "right":  # (f o g)[i][j] = sum over k of f[i][k] g[k][j]
+                rows.append([f.entries[i][r] if c == j else 0 for r, c in cells])
+            else:  # (g o f)[i][j] = sum over k of g[i][k] f[k][j]
+                rows.append([f.entries[c][j] if r == i else 0 for r, c in cells])
+            keys.append((i, j))
+    return g_src, g_tgt, cells, rows, keys
+
+
+def factor_reference(f, t, side):
+    """A g with f o g = t (side "right") or g o f = t (side "left"), or None.
+
+    One system over every cell of g, solved with its free cells at zero.
+    """
+    obj = t.source if side == "right" else t.target
+    g_src, g_tgt, cells, rows, keys = _factor_system(f, obj, side)
+    sol = linalg.solve(rows, [t.entries[i][j] for i, j in keys], len(cells))
+    if sol is None:
+        return None
+    ents = [[0] * len(g_src) for _ in g_tgt.summands]
+    for (r, c), v in zip(cells, sol):
+        ents[r][c] = v
+    return Morphism(f.params, g_src, g_tgt, ents)
+
+
+def right_minimal_reference(xi):
+    """No endomorphism phi of the source with xi o phi = 0 escapes the radical.
+
+    One nullspace of the whole system over every cell of phi; a basis
+    vector escapes when it is nonzero between two equal positions.
+    """
+    src = xi.source.summands
+    _, _, cells, rows, _ = _factor_system(xi, xi.source, "right")
+    return not any(
+        v and src[r] == src[c]
+        for vec in linalg.nullspace(rows, len(cells))
+        for (r, c), v in zip(cells, vec)
+    )
+
+
 def split_epi_reference(f):
     """f is a split epi: the identity on its target factors through it."""
-    return right_factor(f, identity_mor(f.params, f.target)) is not None
+    return factor_reference(f, identity_mor(f.params, f.target), "right") is not None
 
 
 def split_mono_reference(f):
     """f is a split mono: the identity on its source extends along it."""
-    return left_factor(f, identity_mor(f.params, f.source)) is not None
+    return factor_reference(f, identity_mor(f.params, f.source), "left") is not None
 
 
 def matching_connector(params, pairs, lone_sources, lone_targets):

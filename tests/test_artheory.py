@@ -216,6 +216,13 @@ class TestRightMinimal:
         f = zero_mor(p449, indec(1), indec(2))
         assert not is_right_minimal(f)
 
+    def test_escape_in_a_later_nullspace_vector(self, p449):
+        # the column at f1 has two null vectors: (0, 1, 0) stays in the
+        # radical, (-1, 0, 1) does not; psi = -u(1->1) + u(1->2) into the
+        # second summand at f2 gives xi o psi = 0, so xi is not right minimal
+        f = Morphism(p449, SumObject((1, 2, 2)), SumObject((3, 5)), ((1, 0, 1), (0, 1, 1)))
+        assert not is_right_minimal(f)
+
 
 class TestPrecoverCover:
     def test_cover_outputs(self, p449):

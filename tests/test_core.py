@@ -22,6 +22,7 @@ from angulated import (
     is_split_epi,
     is_split_mono,
     join_pos,
+    linalg,
     pos_label,
     shift_mor,
     shift_obj,
@@ -372,3 +373,51 @@ class TestMorphismValidation:
         assert g is not None and compose(g, u12) == u13
         assert right_factor(u23, u13) is not None
         assert left_factor(u13, u12) is None
+
+
+def _ones(p, src, tgt):
+    """Coefficient one on every cell the distance rule keeps."""
+    return Morphism(p, src, tgt, tuple(
+        tuple(hom_dim(p, x, y) for x in src.summands) for y in tgt.summands
+    ))
+
+
+class TestFactorWork:
+    """A factorisation is one small system per column of g (per row on the left)."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = linalg.solve
+
+        def counted(rows, rhs, nunknowns):
+            calls.append(nunknowns)
+            return solve(rows, rhs, nunknowns)
+
+        monkeypatch.setattr(linalg, "solve", counted)
+        return calls
+
+    def test_right_factor_solves_one_system_per_column(self, p449, solves):
+        a, b, c = SumObject((0, 1, 1, 3)), SumObject((1, 2, 3)), SumObject((2, 3, 4, 5))
+        f = _ones(p449, b, c)
+        t = compose(f, _ones(p449, a, b))
+        g = right_factor(f, t)
+        assert g is not None and compose(f, g) == t
+        assert len(solves) == len(a)
+        assert max(solves) <= len(b)
+
+    def test_left_factor_solves_one_system_per_row(self, p449, solves):
+        a, b, c = SumObject((0, 1, 2)), SumObject((1, 2, 3)), SumObject((2, 3, 3, 4))
+        f = _ones(p449, a, b)
+        t = compose(_ones(p449, b, c), f)
+        g = left_factor(f, t)
+        assert g is not None and compose(g, f) == t
+        assert len(solves) == len(c)
+        assert max(solves) <= len(b)
+
+    def test_no_factor_stops_at_the_first_inconsistent_column(self, p449, solves):
+        # column 0 of f o g is zero at target 2 whatever g is, but t is not
+        f = Morphism(p449, indec(1), SumObject((1, 2)), ((1,), (0,)))
+        t = Morphism(p449, SumObject((1, 2)), SumObject((1, 2)), ((0, 0), (1, 0)))
+        assert right_factor(f, t) is None
+        assert solves == [1]

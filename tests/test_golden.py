@@ -12,6 +12,11 @@ on 200 seeded partial-matching connectors.  It was taken after `extend`
 learnt to end in the connector it is given on a distance-0 cell and on
 equal positions whose order the block sum changes; the 101 connectors
 without a distance-0 cell gave the same angles before.
+
+`test_factor_digest` pins the entries `right_factor` and `left_factor`
+return (or None) on 200 seeded pairs each.  It was taken while each
+factorisation was still one system over every cell of the factor, before
+it became one small system per column (per row on the left).
 """
 
 import contextlib
@@ -22,7 +27,8 @@ from fractions import Fraction
 
 import pytest
 
-from angulated import extend, validate_params
+from angulated import Morphism, SumObject, compose, extend, validate_params
+from angulated.core import left_factor, right_factor
 from angulated.cli import main
 
 from oracles import matching_connector
@@ -118,3 +124,54 @@ def extend_transcript() -> str:
 def test_extend_digest():
     got = hashlib.sha256(extend_transcript().encode()).hexdigest()
     assert got == EXTEND_DIGEST
+
+
+FACTOR_DIGEST = "d7fbd443550f66599a4068a01cb488052a911db22942e45c768fe8a75c6462bf"
+
+
+def _factor_sum(rng, p, base):
+    n = rng.randint(1, 6)
+    return SumObject(tuple(base + rng.randint(0, 2 * (p.l - 1)) for _ in range(n)))
+
+
+def _factor_mor(rng, p, src, tgt):
+    """Random scalars on about three quarters of the cells the distance rule keeps."""
+    ents = tuple(
+        tuple(
+            rng.choice(EXTEND_SCALARS) if 0 <= y - x < p.l and rng.random() < 0.75 else 0
+            for x in src.summands
+        )
+        for y in tgt.summands
+    )
+    return Morphism(p, src, tgt, ents)
+
+
+def factor_transcript() -> str:
+    """Entries of `right_factor` and `left_factor` on 200 seeded pairs each.
+
+    Sums of 1-6 summands within 2(l - 1) of a base position, so positions
+    repeat; half of the targets are composites, so a factor exists.
+    """
+    rng = random.Random(1803_07002)
+    lines = []
+    for n in range(200):
+        p = validate_params(*EXTEND_TRIPLES[n % len(EXTEND_TRIPLES)])
+        base = rng.randint(-3 * p.period, 3 * p.period)
+        a, b, c = (_factor_sum(rng, p, base) for _ in range(3))
+        composite = rng.random() < 0.5
+        f = _factor_mor(rng, p, b, c)
+        t = compose(f, _factor_mor(rng, p, a, b)) if composite else _factor_mor(rng, p, a, c)
+        right = right_factor(f, t)
+        f = _factor_mor(rng, p, a, b)
+        t = compose(_factor_mor(rng, p, b, c), f) if composite else _factor_mor(rng, p, a, c)
+        left = left_factor(f, t)
+        lines.extend(
+            repr(None if g is None else [[str(e) for e in row] for row in g.entries])
+            for g in (right, left)
+        )
+    return "\n".join(lines)
+
+
+def test_factor_digest():
+    got = hashlib.sha256(factor_transcript().encode()).hexdigest()
+    assert got == FACTOR_DIGEST

@@ -56,10 +56,12 @@ from oracles import (
     d_kernel_reference,
     extend_reference,
     extended_chain,
+    factor_reference,
     hom_exactness_reference,
     hom_from_inexact_slots,
     hom_into_inexact_slots,
     matching_connector,
+    right_minimal_reference,
     split_epi_reference,
     split_mono_reference,
     ties_reordered,
@@ -504,3 +506,50 @@ def test_split_tests_match_the_factor_references(p, data):
     f = _draw_mor(data, p, src, tgt)
     assert is_split_epi(f) == split_epi_reference(f)
     assert is_split_mono(f) == split_mono_reference(f)
+
+
+SESSION_PARAMS = [
+    validate_params(*t) for t in ((4, 4, 9), (2, 3, 4), (6, 3, 10), (10, 2, 11), (2, 6, 7))
+]
+
+
+def _draw_wide_sum(data, p, base):
+    """A sum of 1-6 vertices in [base, base + 2(l - 1)]; positions may repeat."""
+    positions = data.draw(
+        st.lists(st.integers(base, base + 2 * (p.l - 1)), min_size=1, max_size=6)
+    )
+    return SumObject(tuple(positions))
+
+
+@given(st.sampled_from(SESSION_PARAMS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_factors_match_the_whole_cell_reference(p, data):
+    # half of the targets are composites, so a factor exists for those
+    base = data.draw(st.integers(-3 * p.period, 3 * p.period))
+    a, b, c = (_draw_wide_sum(data, p, base) for _ in range(3))
+    composite = data.draw(st.booleans())
+    f = _draw_mor(data, p, b, c)
+    t = compose(f, _draw_mor(data, p, a, b)) if composite else _draw_mor(data, p, a, c)
+    got, want = right_factor(f, t), factor_reference(f, t, "right")
+    assert got == want
+    assert composite <= (got is not None)
+    f = _draw_mor(data, p, a, b)
+    t = compose(_draw_mor(data, p, b, c), f) if composite else _draw_mor(data, p, a, c)
+    got, want = left_factor(f, t), factor_reference(f, t, "left")
+    assert got == want
+    assert composite <= (got is not None)
+
+
+@given(st.sampled_from(SESSION_PARAMS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_right_minimal_matches_the_whole_system_nullspace(p, data):
+    # a target that keeps some source summands makes minimal maps likelier
+    base = data.draw(st.integers(-3 * p.period, 3 * p.period))
+    a = _draw_wide_sum(data, p, base)
+    if data.draw(st.booleans()):
+        kept = data.draw(st.sets(st.integers(0, len(a) - 1), min_size=1))
+        c = SumObject(tuple(a.summands[k] for k in kept))
+    else:
+        c = _draw_wide_sum(data, p, base)
+    xi = _draw_mor(data, p, a, c)
+    assert is_right_minimal(xi) == right_minimal_reference(xi)
