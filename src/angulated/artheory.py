@@ -3,16 +3,15 @@
 Constructions (ar_angle, cover, ar_angle_in) are closed-form position
 arithmetic; the checkers (almost split, minimal, precover, cover) go back
 to the definitions and quantify over indecomposable test objects inside
-the Hom support window.  Each factorisation is exact rational linear
-algebra, one small system per column of the factor (per row for a factor
-on the left): column j of f o g reads only column j of g.  Quantifying
-over sums reduces to indecomposables by additivity, and over general
-morphisms to basis morphisms because every Hom space is at most one
-dimensional.
+the Hom support window.  Quantifying over sums reduces to indecomposables
+by additivity, and over general morphisms to basis morphisms because
+every Hom space is at most one dimensional.  A checker's test maps are
+the columns (rows, on the left) of one test morphism, and one exact
+factorisation asks for all of them: one small system per column of the
+factor (per row on the left), as column j of f o g reads only column j of g.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .angles import Angle, _degenerate_angle, min_angle
@@ -24,11 +23,12 @@ from .core import (
     NotWide,
     SumObject,
     ZERO_OBJ,
+    _ONE,
+    _ZERO,
     _left_solve,
     _right_column,
     _right_solve,
     basis_mor,
-    hom_dim,
     indec,
     is_radical,
     is_split_epi,
@@ -36,8 +36,6 @@ from .core import (
     zero_mor,
 )
 from .wide import SubcatSpec, is_wide
-
-_BASIS = ((Fraction(1),),)  # entries of the basis morphism u(x -> y)
 
 
 @dataclass(frozen=True)
@@ -99,25 +97,15 @@ def ar_angle_in(spec: SubcatSpec, pos: int) -> Angle:
     return min_angle(basis_mor(p, wpos + p.m - 1, pos))
 
 
-def _member_sources(spec: SubcatSpec, pos: int) -> list[int]:
-    """Member vertices with a nonzero map into `pos`, excluding `pos` itself."""
-    p = spec.params
-    return [w for w in range(pos - p.l + 1, pos) if spec.contains_pos(w)]
-
-
-def _member_targets(spec: SubcatSpec, pos: int) -> list[int]:
-    p = spec.params
-    return [w for w in range(pos + 1, pos + p.l) if spec.contains_pos(w)]
-
-
 def is_right_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
     """xi is not split epi and every non-retraction into its target factors.
 
-    The target must be a member vertex.  Test morphisms are the basis
-    morphisms from the member vertices w != pos in the Hom window; scalar
-    multiples and sums factor iff these do, and endomorphisms of the target
-    are either isomorphisms (excluded) or zero (factor trivially).  No test
-    morphism is a retraction: Hom(pos, w) = 0 for w < pos.
+    The target must be a member vertex.  The test maps are the basis
+    morphisms from the member vertices w != pos in the Hom window, the
+    columns of one test morphism from their sum; scalar multiples and sums
+    factor iff these do, and endomorphisms of the target are either
+    isomorphisms (excluded) or zero (factor trivially).  No test map is a
+    retraction: Hom(pos, w) = 0 for w < pos.
     """
     tgt = xi.target
     if not tgt.is_indec:
@@ -127,17 +115,16 @@ def is_right_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
         raise NotMember(f"target at position {pos} is not a member")
     if is_split_epi(xi):
         return False
-    for w in _member_sources(spec, pos):
-        if _right_solve(xi, indec(w), _BASIS) is None:
-            return False
-    return True
+    ws = SumObject(tuple(filter(spec.contains_pos, range(pos - spec.params.l + 1, pos))))
+    return _right_solve(xi, ws, ((_ONE,) * len(ws),)) is not None
 
 
 def is_left_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
     """Dual test on the source: every non-section out of it extends along xi.
 
-    The test morphisms go to the member vertices w != pos in the Hom
-    window; none is a section, because Hom(w, pos) = 0 for w > pos.
+    The test maps go to the member vertices w != pos in the Hom window,
+    the rows of one test morphism into their sum; none is a section,
+    because Hom(w, pos) = 0 for w > pos.
     """
     src = xi.source
     if not src.is_indec:
@@ -147,10 +134,8 @@ def is_left_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
         raise NotMember(f"source at position {pos} is not a member")
     if is_split_mono(xi):
         return False
-    for w in _member_targets(spec, pos):
-        if _left_solve(xi, indec(w), _BASIS) is None:
-            return False
-    return True
+    ws = SumObject(tuple(filter(spec.contains_pos, range(pos + 1, pos + spec.params.l))))
+    return _left_solve(xi, ws, ((_ONE,),) * len(ws)) is not None
 
 
 def is_right_minimal(xi: Morphism) -> bool:
@@ -174,26 +159,20 @@ def is_right_minimal(xi: Morphism) -> bool:
 
 
 def is_precover(spec: SubcatSpec, xi: Morphism) -> bool:
-    """Every morphism from a member object into target(xi) factors through xi.
+    """xi has a member source (zero is one), and every morphism from a member
+    object into target(xi) factors through xi.
 
-    Reduced to elementary morphisms: one member source vertex, one basis
-    component into a single summand of the target.
+    The test maps are the elementary morphisms, from a member vertex w in
+    the Hom window of target summand i, basis component into i: the
+    columns e_i of one test morphism, in the order of (w, i).
     """
-    p = spec.params
-    tgt = xi.target
-    ok_sources = set()
-    for q in tgt.summands:
-        for w in range(q - p.l + 1, q + 1):
-            if spec.contains_pos(w):
-                ok_sources.add(w)
-    for w in sorted(ok_sources):
-        for i, q in enumerate(tgt.summands):
-            if not hom_dim(p, w, q):
-                continue
-            elem = tuple((Fraction(1 if r == i else 0),) for r in range(len(tgt)))
-            if _right_solve(xi, indec(w), elem) is None:
-                return False
-    return True
+    if not spec.contains_obj(xi.source):
+        return False
+    l, tgt = spec.params.l, xi.target.summands
+    cols = sorted((w, i) for i, q in enumerate(tgt) for w in range(q - l + 1, q + 1)
+                  if spec.contains_pos(w))
+    rhs = tuple(tuple(_ONE if i == r else _ZERO for _, i in cols) for r in range(len(tgt)))
+    return _right_solve(xi, SumObject(tuple(w for w, _ in cols)), rhs) is not None
 
 
 def is_cover(spec: SubcatSpec, xi: Morphism) -> bool:
@@ -246,14 +225,10 @@ def theorem_b_check(spec: SubcatSpec, pos: int) -> TheoremBReport:
     its initial object, and the subcategory AR angle ending at `pos`; then
     verifies with the raw-definition checkers that the cover really is a
     cover, the constructed angle really is an AR angle in the subcategory,
-    and that its initial object equals the cover source.  The gates live
-    here and the cross-check in `_theorem_b`, which `verify_ar` calls with
-    the ambient angle it has already built and checked.
+    and that its initial object equals the cover source.  The cross-check
+    is `_theorem_b`, whose `ar_angle_in` raises NotWide and NotMember;
+    `verify_ar` calls it with the ambient angle it has already checked.
     """
-    if not is_wide(spec):
-        raise NotWide(f"spec {list(spec.indices)} is not wide")
-    if not spec.contains_pos(pos):
-        raise NotMember(f"vertex at position {pos} is not a member")
     return _theorem_b(spec, pos, ar_angle(spec.params, pos))
 
 

@@ -12,7 +12,10 @@ of the factor, cells chosen by walking the quiver, where the library
 solves one small system per column (per row on the left);
 `right_minimal_reference` takes one nullspace of that whole system, and
 the split references build the factor through the identity with it, as
-the definition reads.  `matching_connector` builds the partial-matching
+the definition reads.  The almost-split and precover references solve one
+`factor_reference` per test map, test vertices chosen by walking the
+quiver, where the library factors one test morphism whose columns are
+the test maps.  `matching_connector` builds the partial-matching
 connectors that `extend` is tested on, from drawn pairs,
 `ties_reordered` trades their slots of equal position, and
 `extend_reference` is the construction `extend` replaced: validated
@@ -24,9 +27,11 @@ too.
 from angulated import (
     Angle,
     Morphism,
+    NotMember,
     ShapeMismatch,
     SumObject,
     ZERO_OBJ,
+    basis_mor,
     identity_mor,
     indec,
     linalg,
@@ -143,6 +148,66 @@ def split_epi_reference(f):
 def split_mono_reference(f):
     """f is a split mono: the identity on its source extends along it."""
     return factor_reference(f, identity_mor(f.params, f.source), "left") is not None
+
+
+def right_almost_split_reference(spec, xi):
+    """xi, into a member vertex, is not split epi, and every basis map into
+    its target from another member vertex factors through xi, one at a time.
+
+    The test vertices are the members w among the period positions left
+    of the target with `path_hom_dim(w, target)` nonzero.
+    """
+    p, tgt = spec.params, xi.target.summands
+    if len(tgt) != 1 or not spec.contains_pos(tgt[0]):
+        raise NotMember("right almost split needs a member vertex target")
+    if split_epi_reference(xi):
+        return False
+    return all(
+        factor_reference(xi, basis_mor(p, w, tgt[0]), "right") is not None
+        for w in range(tgt[0] - p.period, tgt[0])
+        if spec.contains_pos(w) and path_hom_dim(p, w, tgt[0])
+    )
+
+
+def left_almost_split_reference(spec, xi):
+    """xi, out of a member vertex, is not split mono, and every basis map out
+    of its source to another member vertex extends along xi, one at a time.
+    """
+    p, src = spec.params, xi.source.summands
+    if len(src) != 1 or not spec.contains_pos(src[0]):
+        raise NotMember("left almost split needs a member vertex source")
+    if split_mono_reference(xi):
+        return False
+    return all(
+        factor_reference(xi, basis_mor(p, src[0], w), "left") is not None
+        for w in range(src[0] + 1, src[0] + p.period + 1)
+        if spec.contains_pos(w) and path_hom_dim(p, src[0], w)
+    )
+
+
+def precover_reference(spec, xi):
+    """Every summand of source(xi) is a member, and each elementary map into
+    target(xi), one member vertex w into one summand i by the basis
+    morphism, factors through xi, one at a time.
+
+    The test vertices are the members w among the positions from a period
+    left of the target's first summand to its last with
+    `path_hom_dim(w, target_i)` nonzero.
+    """
+    p, tgt = spec.params, xi.target
+    if not all(spec.contains_pos(x) for x in xi.source.summands):
+        return False
+    if tgt.is_zero:
+        return True
+    return all(
+        factor_reference(xi, Morphism(
+            p, indec(w), tgt, tuple((1 if r == i else 0,) for r in range(len(tgt)))
+        ), "right") is not None
+        for w in range(tgt.summands[0] - p.period, tgt.summands[-1] + 1)
+        if spec.contains_pos(w)
+        for i, q in enumerate(tgt.summands)
+        if path_hom_dim(p, w, q)
+    )
 
 
 def matching_connector(params, pairs, lone_sources, lone_targets):

@@ -244,6 +244,37 @@ class TestPrecoverCover:
         assert not is_precover(sp, mor)
         assert not is_cover(sp, mor)
 
+    def test_source_outside_the_subcategory_fails(self, p449):
+        # every test map into f3 factors through id(f3), but f3 is not a
+        # member: the cover of f3 is f1 -> f3
+        sp = SubcatSpec(p449, SINGLE_CLASS)
+        assert not is_precover(sp, identity_mor(p449, indec(3)))
+        assert not is_cover(sp, identity_mor(p449, indec(3)))
+        assert is_cover(sp, cover(sp, 3).mor)
+        assert cover(sp, 3).source == indec(1)
+
+    def test_zero_source_is_a_member(self, p449):
+        result = cover(empty_spec(p449), 3)
+        assert result.source == ZERO_OBJ
+        assert is_cover(empty_spec(p449), result.mor)
+
+
+class TestCheckerWork:
+    """Each checker factors one test morphism, one system per test map."""
+
+    def test_precover_stops_at_the_first_test_column(self, p449, solves):
+        # u(f1 -> f4) does not factor through the zero map, and f1 is the
+        # first of the four test vertices f1..f4
+        assert not is_precover(full_spec(p449), zero_mor(p449, indec(1), indec(4)))
+        assert len(solves) == 1
+
+    def test_right_almost_split_solves_once_per_member_source(self, p449, solves):
+        # one split test on the single target summand, then one system for
+        # each of the member sources f2, f3, f4 of f5
+        a = ar_angle(p449, 5)
+        assert is_right_almost_split(full_spec(p449), a.maps[p449.d])
+        assert len(solves) == 1 + 3
+
 
 class TestIsArAngle:
     def test_constructed_angles_pass(self, p449):

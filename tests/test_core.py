@@ -22,7 +22,6 @@ from angulated import (
     is_split_epi,
     is_split_mono,
     join_pos,
-    linalg,
     pos_label,
     shift_mor,
     shift_obj,
@@ -384,18 +383,6 @@ def _ones(p, src, tgt):
 
 class TestFactorWork:
     """A factorisation is one small system per column of g (per row on the left)."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-        solve = linalg.solve
-
-        def counted(rows, rhs, nunknowns):
-            calls.append(nunknowns)
-            return solve(rows, rhs, nunknowns)
-
-        monkeypatch.setattr(linalg, "solve", counted)
-        return calls
 
     def test_right_factor_solves_one_system_per_column(self, p449, solves):
         a, b, c = SumObject((0, 1, 1, 3)), SumObject((1, 2, 3)), SumObject((2, 3, 4, 5))

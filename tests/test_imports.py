@@ -1,10 +1,12 @@
-"""No unused imports and no orphaned private helpers (standard library `ast` only).
+"""No unused imports, no orphaned private helpers and no package asserts
+(standard library `ast` only).
 
 `__init__.py` files are skipped by the import scan because their imports
 are re-exports; a single import line can opt out with `# noqa: F401`.  A
 module-level private definition (`_name`, not a dunder) in the package
 must be referenced somewhere in the package, so a helper left behind when
-its last caller goes is caught.
+its last caller goes is caught.  The package holds no `assert` statement:
+`python -O` strips them, so no invariant may live only in one.
 """
 
 import ast
@@ -97,3 +99,21 @@ def test_checker_flags_an_orphaned_private_helper():
 def test_no_orphaned_private_helpers():
     sources = {path.name: path.read_text() for path in PACKAGE}
     assert orphaned_private_defs(sources) == []
+
+
+def assert_statements(source: str) -> list[int]:
+    """Line numbers of the `assert` statements in `source`."""
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+
+
+def test_checker_flags_an_assert_statement():
+    src = ("def f(x):\n    assert x > 0, 'gone under -O'\n    return x\n\n"
+           "assert_like = 'assert x'\nclass C:\n    def g(self):\n        assert self\n")
+    assert assert_statements(src) == [2, 8]
+
+
+def test_no_assert_statements_in_the_package():
+    found = {
+        path.name: lines for path in PACKAGE if (lines := assert_statements(path.read_text()))
+    }
+    assert found == {}

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from angulated import (
     Angle,
     Morphism,
+    NotMember,
     SubcatSpec,
     SumObject,
     ar_angle,
@@ -28,6 +29,9 @@ from angulated import (
     hom_dim,
     is_ar_angle,
     is_cover,
+    is_left_almost_split,
+    is_precover,
+    is_right_almost_split,
     is_right_minimal,
     is_split_epi,
     is_split_mono,
@@ -60,7 +64,10 @@ from oracles import (
     hom_exactness_reference,
     hom_from_inexact_slots,
     hom_into_inexact_slots,
+    left_almost_split_reference,
     matching_connector,
+    precover_reference,
+    right_almost_split_reference,
     right_minimal_reference,
     split_epi_reference,
     split_mono_reference,
@@ -553,3 +560,38 @@ def test_right_minimal_matches_the_whole_system_nullspace(p, data):
         c = _draw_wide_sum(data, p, base)
     xi = _draw_mor(data, p, a, c)
     assert is_right_minimal(xi) == right_minimal_reference(xi)
+
+
+def _outcome(check, spec, xi):
+    try:
+        return check(spec, xi)
+    except NotMember:
+        return NotMember
+
+
+@given(st.sampled_from([PARAMS[0], *SESSION_PARAMS]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_approximation_checkers_match_one_factor_per_test_map(p, data):
+    # (2,2,3) and the five session triples; the spec is any index set, wide
+    # or not, and the sums have 0-4 summands with repeats, members or not
+    spec = SubcatSpec(p, tuple(sorted(data.draw(st.sets(st.integers(1, p.period))))))
+    base = data.draw(st.integers(-3 * p.period, 3 * p.period))
+    window = st.integers(base, base + 2 * (p.l - 1))
+
+    def draw_sum(members_only):
+        positions = data.draw(st.lists(window, max_size=4))
+        if members_only:
+            positions = [q for q in positions if spec.contains_pos(q)]
+        return SumObject(tuple(positions))
+
+    a, b = draw_sum(data.draw(st.booleans())), draw_sum(False)
+    xi = _draw_mor(data, p, a, b)
+    assert is_precover(spec, xi) == precover_reference(spec, xi)
+    assert is_cover(spec, xi) == (precover_reference(spec, xi) and right_minimal_reference(xi))
+    vertex = SumObject((base + p.l - 1,))
+    xi = _draw_mor(data, p, a, vertex)
+    want = _outcome(right_almost_split_reference, spec, xi)
+    assert _outcome(is_right_almost_split, spec, xi) == want
+    xi = _draw_mor(data, p, vertex, b)
+    want = _outcome(left_almost_split_reference, spec, xi)
+    assert _outcome(is_left_almost_split, spec, xi) == want
