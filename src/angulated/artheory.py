@@ -9,6 +9,9 @@ every Hom space is at most one dimensional.  A checker's test maps are
 the columns (rows, on the left) of one test morphism, and one exact
 factorisation asks for all of them: one small system per column of the
 factor (per row on the left), as column j of f o g reads only column j of g.
+Every checker first asks that the map or angle live over the spec's
+parameters (ShapeMismatch otherwise), and a map whose source (target, on
+the left) lies outside the subcategory approximates nothing in it: False.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ from .core import (
     Morphism,
     NotMember,
     NotWide,
+    ShapeMismatch,
     SumObject,
     ZERO_OBJ,
     _ONE,
@@ -97,23 +101,32 @@ def ar_angle_in(spec: SubcatSpec, pos: int) -> Angle:
     return min_angle(basis_mor(p, wpos + p.m - 1, pos))
 
 
+def _same_params(spec: SubcatSpec, params: FamilyParams) -> None:
+    """The gate of every checker: a map or an angle over other parameters than
+    the spec's has no verdict, so ShapeMismatch."""
+    if spec.params != params:
+        raise ShapeMismatch("spec and checked map or angle live over different parameters")
+
+
 def is_right_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
     """xi is not split epi and every non-retraction into its target factors.
 
-    The target must be a member vertex.  The test maps are the basis
-    morphisms from the member vertices w != pos in the Hom window, the
-    columns of one test morphism from their sum; scalar multiples and sums
-    factor iff these do, and endomorphisms of the target are either
-    isomorphisms (excluded) or zero (factor trivially).  No test map is a
-    retraction: Hom(pos, w) = 0 for w < pos.
+    The target must be a member vertex; a source outside the subcategory
+    gives False.  The test maps are the basis morphisms from the member
+    vertices w != pos in the Hom window, the columns of one test morphism
+    from their sum; scalar multiples and sums factor iff these do, and
+    endomorphisms of the target are either isomorphisms (excluded) or zero
+    (factor trivially).  No test map is a retraction: Hom(pos, w) = 0 for
+    w < pos.
     """
+    _same_params(spec, xi.params)
     tgt = xi.target
     if not tgt.is_indec:
         raise NotMember("right almost split test needs a single vertex target")
     pos = tgt.summands[0]
     if not spec.contains_pos(pos):
         raise NotMember(f"target at position {pos} is not a member")
-    if is_split_epi(xi):
+    if not spec.contains_obj(xi.source) or is_split_epi(xi):
         return False
     ws = SumObject(tuple(filter(spec.contains_pos, range(pos - spec.params.l + 1, pos))))
     return _right_solve(xi, ws, ((_ONE,) * len(ws),)) is not None
@@ -122,17 +135,19 @@ def is_right_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
 def is_left_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
     """Dual test on the source: every non-section out of it extends along xi.
 
-    The test maps go to the member vertices w != pos in the Hom window,
-    the rows of one test morphism into their sum; none is a section,
-    because Hom(w, pos) = 0 for w > pos.
+    A target outside the subcategory gives False.  The test maps go to the
+    member vertices w != pos in the Hom window, the rows of one test
+    morphism into their sum; none is a section, because Hom(w, pos) = 0
+    for w > pos.
     """
+    _same_params(spec, xi.params)
     src = xi.source
     if not src.is_indec:
         raise NotMember("left almost split test needs a single vertex source")
     pos = src.summands[0]
     if not spec.contains_pos(pos):
         raise NotMember(f"source at position {pos} is not a member")
-    if is_split_mono(xi):
+    if not spec.contains_obj(xi.target) or is_split_mono(xi):
         return False
     ws = SumObject(tuple(filter(spec.contains_pos, range(pos + 1, pos + spec.params.l))))
     return _left_solve(xi, ws, ((_ONE,),) * len(ws)) is not None
@@ -166,6 +181,7 @@ def is_precover(spec: SubcatSpec, xi: Morphism) -> bool:
     the Hom window of target summand i, basis component into i: the
     columns e_i of one test morphism, in the order of (w, i).
     """
+    _same_params(spec, xi.params)
     if not spec.contains_obj(xi.source):
         return False
     l, tgt = spec.params.l, xi.target.summands
@@ -187,6 +203,7 @@ def is_ar_angle(spec: SubcatSpec, a: Angle) -> bool:
     right almost split, all strictly middle maps radical.
     """
     p = a.params
+    _same_params(spec, p)
     for o in a.objects:
         if not spec.contains_obj(o):
             raise NotMember("angle has objects outside the subcategory")

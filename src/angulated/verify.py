@@ -105,8 +105,14 @@ def verify_core(params: FamilyParams) -> list[Check]:
     checks.append(Check("composition associativity over a window", assoc_ok))
     checks.append(Check("radical is an ideal on basis pairs", rad_ok))
 
-    # every sum of at most 2 vertices in [1, l], with every {0, +-1} matrix
-    # on its at most 4 cells: these two limits are the whole coverage
+    # sums of at most 2 vertices in [1, l], every {0, +-1} matrix on their
+    # at most 4 cells, each order type at its lowest and highest placement:
+    # these limits are the whole coverage.  Two positions in [1, l] lie
+    # less than l apart, so Hom between them, the composites and the split
+    # tests read only their order, and a pair's verdicts depend only on its
+    # order type, its positions replaced by their ranks in the union.  The
+    # lowest placement puts the union at 1..k and the highest at l-k+1..l,
+    # so a defect that reads either end of the window still shows.
     objs = [indec(q) for q in range(1, l + 1)]
     objs += [
         SumObject((a, b)) for a, b in combinations(range(1, l + 1), 2)
@@ -115,6 +121,10 @@ def verify_core(params: FamilyParams) -> list[Check]:
     values = (Fraction(0), Fraction(1), Fraction(-1))
     for src in objs:
         for tgt in objs:
+            used = set(src.summands + tgt.summands)
+            k = len(used)
+            if used != set(range(1, k + 1)) and used != set(range(l - k + 1, l + 1)):
+                continue
             cells = [
                 (i, j)
                 for i, y in enumerate(tgt.summands)

@@ -151,8 +151,9 @@ def split_mono_reference(f):
 
 
 def right_almost_split_reference(spec, xi):
-    """xi, into a member vertex, is not split epi, and every basis map into
-    its target from another member vertex factors through xi, one at a time.
+    """xi, into a member vertex from a member object, is not split epi, and
+    every basis map into its target from another member vertex factors
+    through xi, one at a time.
 
     The test vertices are the members w among the period positions left
     of the target with `path_hom_dim(w, target)` nonzero.
@@ -160,6 +161,8 @@ def right_almost_split_reference(spec, xi):
     p, tgt = spec.params, xi.target.summands
     if len(tgt) != 1 or not spec.contains_pos(tgt[0]):
         raise NotMember("right almost split needs a member vertex target")
+    if not all(spec.contains_pos(x) for x in xi.source.summands):
+        return False  # a map of the subcategory starts at a member
     if split_epi_reference(xi):
         return False
     return all(
@@ -170,12 +173,15 @@ def right_almost_split_reference(spec, xi):
 
 
 def left_almost_split_reference(spec, xi):
-    """xi, out of a member vertex, is not split mono, and every basis map out
-    of its source to another member vertex extends along xi, one at a time.
+    """xi, out of a member vertex into a member object, is not split mono,
+    and every basis map out of its source to another member vertex extends
+    along xi, one at a time.
     """
     p, src = spec.params, xi.source.summands
     if len(src) != 1 or not spec.contains_pos(src[0]):
         raise NotMember("left almost split needs a member vertex source")
+    if not all(spec.contains_pos(y) for y in xi.target.summands):
+        return False  # a map of the subcategory ends at a member
     if split_mono_reference(xi):
         return False
     return all(

@@ -6,6 +6,7 @@ from angulated import (
     Morphism,
     NotMember,
     NotWide,
+    ShapeMismatch,
     SubcatSpec,
     SumObject,
     ZERO_OBJ,
@@ -178,6 +179,11 @@ class TestRightAlmostSplit:
                 SubcatSpec(p449, SINGLE_CLASS), identity_mor(p449, indec(2))
             )
 
+    def test_nonmember_source_fails(self, p449):
+        # f5 is a member and every member map into f5 is an isomorphism or
+        # zero, so u(f4 -> f5) would pass, but f4 is not a member
+        assert not is_right_almost_split(SubcatSpec(p449, SINGLE_CLASS), basis_mor(p449, 4, 5))
+
 
 class TestLeftAlmostSplit:
     def test_first_map_of_ar_angle(self, p449):
@@ -195,6 +201,30 @@ class TestLeftAlmostSplit:
     def test_distance_two_arrow_fails(self, p449):
         # u(f1 -> f2) cannot factor through u(f1 -> f3): Hom(f3, f2) = 0
         assert not is_left_almost_split(full_spec(p449), basis_mor(p449, 1, 3))
+
+    def test_nonmember_target_fails(self, p449):
+        # the dual: u(f5 -> f6) out of the member f5, but f6 is not a member
+        assert not is_left_almost_split(SubcatSpec(p449, SINGLE_CLASS), basis_mor(p449, 5, 6))
+
+
+class TestOtherParameters:
+    """A checker given a spec over other parameters raises ShapeMismatch."""
+
+    def test_right_almost_split(self, p449, p223):
+        with pytest.raises(ShapeMismatch):
+            is_right_almost_split(full_spec(p449), basis_mor(p223, 1, 2))
+
+    def test_left_almost_split(self, p449, p223):
+        with pytest.raises(ShapeMismatch):
+            is_left_almost_split(full_spec(p449), basis_mor(p223, 1, 2))
+
+    def test_cover(self, p449, p223):
+        with pytest.raises(ShapeMismatch):
+            is_cover(full_spec(p449), identity_mor(p223, indec(2)))
+
+    def test_ar_angle(self, p449, p223):
+        with pytest.raises(ShapeMismatch):
+            is_ar_angle(full_spec(p449), ar_angle(p223, 3))
 
 
 class TestRightMinimal:

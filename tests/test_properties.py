@@ -371,13 +371,14 @@ def test_extend_realises_every_partial_matching(p, data):
     assert check_hom_exactness(a).ok
 
 
+# the five query-session triples, and the same led by (2, 2, 3)
 SESSION_PARAMS = [
-    validate_params(*t)
-    for t in ((2, 2, 3), (4, 4, 9), (2, 3, 4), (6, 3, 10), (10, 2, 11), (2, 6, 7))
+    validate_params(*t) for t in ((4, 4, 9), (2, 3, 4), (6, 3, 10), (10, 2, 11), (2, 6, 7))
 ]
+P223_AND_SESSION_PARAMS = [PARAMS[0], *SESSION_PARAMS]
 
 
-@given(st.sampled_from(SESSION_PARAMS), st.sampled_from([0, 1, 3]), st.data())
+@given(st.sampled_from(P223_AND_SESSION_PARAMS), st.sampled_from([0, 1, 3]), st.data())
 @settings(max_examples=120, deadline=None)
 def test_extend_is_the_summed_block_construction(p, periods, data):
     # (2,2,3) and the five query-session triples; with every position at 0
@@ -515,11 +516,6 @@ def test_split_tests_match_the_factor_references(p, data):
     assert is_split_mono(f) == split_mono_reference(f)
 
 
-SESSION_PARAMS = [
-    validate_params(*t) for t in ((4, 4, 9), (2, 3, 4), (6, 3, 10), (10, 2, 11), (2, 6, 7))
-]
-
-
 def _draw_wide_sum(data, p, base):
     """A sum of 1-6 vertices in [base, base + 2(l - 1)]; positions may repeat."""
     positions = data.draw(
@@ -569,11 +565,12 @@ def _outcome(check, spec, xi):
         return NotMember
 
 
-@given(st.sampled_from([PARAMS[0], *SESSION_PARAMS]), st.data())
+@given(st.sampled_from(P223_AND_SESSION_PARAMS), st.data())
 @settings(max_examples=150, deadline=None)
 def test_approximation_checkers_match_one_factor_per_test_map(p, data):
     # (2,2,3) and the five session triples; the spec is any index set, wide
-    # or not, and the sums have 0-4 summands with repeats, members or not
+    # or not, and the sums have 0-4 summands with repeats, members or not,
+    # so an almost-split map's other end is often outside the subcategory
     spec = SubcatSpec(p, tuple(sorted(data.draw(st.sets(st.integers(1, p.period))))))
     base = data.draw(st.integers(-3 * p.period, 3 * p.period))
     window = st.integers(base, base + 2 * (p.l - 1))

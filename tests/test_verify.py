@@ -1,6 +1,8 @@
 """The verify suites: each oracle verdict reaches exactly the checks built on it."""
 
 import time
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -8,6 +10,7 @@ import angulated
 from angulated import (
     Angle,
     Morphism,
+    SumObject,
     angles,
     artheory,
     enumerate_wide,
@@ -16,7 +19,9 @@ from angulated import (
     verify,
     wide,
 )
-from angulated.core import scale
+from angulated.core import is_split_epi, is_split_mono, scale
+
+from oracles import path_hom_dim
 
 AMBIENT = "ambient AR angles pass all oracle tests"
 MINIMAL = "minimal angles: shape, radical middles, equivariance"
@@ -44,6 +49,80 @@ def test_wrong_oracle_fails_exactly_its_checks(monkeypatch, module, name, failin
     p = validate_params(2, 2, 3)
     monkeypatch.setattr(module, name, _negate(getattr(module, name)))
     assert {c.name for c in verify.verify_all(p) if not c.ok} == failing
+
+
+def _lies_at(fn, q):
+    """`fn` with its verdict flipped on a morphism with a summand at `q`."""
+    return lambda f: fn(f) != (q in f.source.summands + f.target.summands)
+
+
+# The split check meets position 1 only at lowest placements and position
+# l only at highest ones: where a union fills [1, 4], it holds two disjoint
+# pairs, which carry no split map, so one lying split test changes nothing.
+@pytest.mark.parametrize(
+    "name, plant",
+    [
+        ("block_iso_oracle", _negate),
+        ("is_split_epi", lambda fn: _lies_at(fn, 4)),
+        ("is_split_mono", lambda fn: _lies_at(fn, 1)),
+    ],
+    ids=["iso-negated", "epi-lies-at-l", "mono-lies-at-1"],
+)
+def test_a_wrong_split_verdict_at_l_4_fails_exactly_the_split_check(monkeypatch, p449, name, plant):
+    monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
+    assert {c.name for c in verify.verify_all(p449) if not c.ok} == {SPLIT}
+
+
+def _matrices(p, src, tgt):
+    """Every {0, +-1} matrix on the cells of Hom(src, tgt), by walking the quiver."""
+    cells = [
+        (i, j)
+        for i, y in enumerate(tgt.summands)
+        for j, x in enumerate(src.summands)
+        if path_hom_dim(p, x, y)
+    ]
+    for combo in product((0, 1, -1), repeat=len(cells)):
+        ents = [[Fraction(0)] * len(src) for _ in tgt.summands]
+        for (i, j), v in zip(cells, combo):
+            ents[i][j] = Fraction(v)
+        yield tuple(map(tuple, ents))
+
+
+def test_split_verdicts_read_only_the_order_type(p449):
+    # every pair of the full scan, every matrix: the three verdicts equal
+    # those of the pair moved onto 1..k, its positions replaced by their ranks
+    objs = [
+        SumObject(qs)
+        for k in (1, 2)
+        for qs in combinations_with_replacement(range(1, p449.l + 1), k)
+    ]
+    built = 0
+    for src, tgt in product(objs, objs):
+        rank = {q: r for r, q in enumerate(sorted(set(src.summands + tgt.summands)), 1)}
+        low_src, low_tgt = (SumObject(tuple(rank[q] for q in o.summands)) for o in (src, tgt))
+        for ents in _matrices(p449, src, tgt):
+            f = Morphism(p449, src, tgt, ents)
+            low = Morphism(p449, low_src, low_tgt, ents)
+            for verdict in (is_split_epi, is_split_mono, verify.block_iso_oracle):
+                assert verdict(f) == verdict(low), (src, tgt, ents, verdict.__name__)
+            built += 1
+    assert built == 4016
+
+
+@pytest.mark.parametrize("triple, built", [((4, 4, 9), 1736), ((2, 6, 7), 1866), ((10, 2, 11), 541)])
+def test_split_check_builds_each_order_type_at_two_placements(monkeypatch, triple, built):
+    # at l = 2 every placement is a lowest or a highest one, so none is skipped
+    p = validate_params(*triple)
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return Morphism(*args)
+
+    monkeypatch.setattr(verify, "Morphism", counted)
+    assert all(c.ok for c in verify.verify_core(p))
+    # the local endomorphism check builds three per window vertex
+    assert count[0] - 3 * p.period == built
 
 
 def _edited(rules, edit):
