@@ -8,7 +8,8 @@ default, `--format text` for a human rendering, and `--format dot` on the
 stderr; usage and configuration errors exit 2.  A token that does not
 parse (an object, a subcategory index, a config value) is a usage error;
 a parsed value outside its range (`f13` or `--sub 13` at period 12) is the
-domain error `BadDistance`.  `verify` exits 1 when a check fails.
+domain error `BadDistance`.  `verify` exits 1 when a check fails; a check
+whose case raises fails with the case and exception class as its detail.
 
 Each subcommand is one handler that returns its JSON document and its
 text rendering; the parser attaches it to the subcommand's subparser, and
@@ -387,7 +388,8 @@ def _verify(params, args):
         "ok": ok,
     }
     text = "\n".join(
-        f"[{'PASS' if c.ok else 'FAIL'}] {c.name}" for c in checks
+        f"[{'PASS' if c.ok else 'FAIL'}] {c.name}" + (f": {c.detail}" if c.detail else "")
+        for c in checks
     ) + f"\noverall: {'PASS' if ok else 'FAIL'}"
     return doc, text
 

@@ -1,17 +1,21 @@
 """Oracle suites: replay the defining properties at a given parameter triple.
 
 Each suite returns a list of named checks so both the CLI `verify`
-subcommand and the test harness can reuse them.  The suites deliberately
-recompute everything from raw definitions (path concatenation, functor
-exactness, brute-force factorisation, power-set filters) rather than
-trusting the closed-form constructions they validate.  A power-set filter
-is listed by `wide.models`, an exact search over the rules of a wideness
-test, so `verify wide` never walks the 2^period subsets.
+subcommand and the test harness can reuse them.  One runner, `_run`, makes
+every check: a suite lists each family of cases once and judges a case
+with one verdict per check, and a case whose construction or oracle raises
+fails every check of its family, with the case and the exception class in
+`detail`.  The suites deliberately recompute everything from raw
+definitions (path concatenation, functor exactness, brute-force
+factorisation, power-set filters) rather than trusting the closed-form
+constructions they validate.  A power-set filter is listed by
+`wide.models`, an exact search over the rules of a wideness test, so
+`verify wide` never walks the 2^period subsets.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations_with_replacement, product
 
 from . import artheory, linalg, wide
 from .angles import (
@@ -39,6 +43,7 @@ from .core import (
     is_radical,
     is_split_epi,
     is_split_mono,
+    pos_label,
     shift_mor,
 )
 
@@ -77,33 +82,50 @@ def _is_shift(b: Angle, a: Angle, r: int) -> bool:
     )
 
 
+def _run(cases, judge, label, *names) -> list[Check]:
+    """One `Check` per name: `cases()` lists a family, `judge(case)` returns
+    one bool per name in name order, and a name passes when every case does.
+    A raise while listing or judging fails every name and ends the run, with
+    `label(case)` (vertex labels) and the exception class in `detail`;
+    otherwise `detail` is ""."""
+    ok, case, detail = [True] * len(names), None, ""
+    try:
+        for case in list(cases()):
+            if not all(verdicts := judge(case)):
+                ok = [a and b for a, b in zip(ok, verdicts)]
+    except Exception as exc:  # the package's one broad catch: a defect fails a check
+        ok = [False] * len(names)
+        detail = f"{'case list' if case is None else label(case)}: {type(exc).__name__}"
+    return [Check(name, passed, detail) for name, passed in zip(names, ok)]
+
+
 def verify_core(params: FamilyParams) -> list[Check]:
-    checks = []
     per, l = params.period, params.l
-
-    ok = all(
-        hom_dim(params, x, y) == hom_dim(params, x + r * per, y + r * per)
-        for x in range(1, per + 1)
-        for y in range(x - l, x + l + 1)
-        for r in (-2, -1, 1, 3)
+    checks = _run(
+        lambda: range(1, per + 1),
+        lambda x: (all(
+            hom_dim(params, x, y) == hom_dim(params, x + r * per, y + r * per)
+            for y in range(x - l, x + l + 1) for r in (-2, -1, 1, 3)
+        ),),
+        lambda x: pos_label(params, x), "hom shift equivariance",
     )
-    checks.append(Check("hom shift equivariance", ok))
 
-    assoc_ok = rad_ok = True
-    for a in range(1, per + 1):
-        for b in range(a, a + l):
-            f = basis_mor(params, a, b)
-            for c in range(b, b + l):
-                g = basis_mor(params, b, c)
-                gf = compose(g, f)
-                if (is_radical(f) or is_radical(g)) and not is_radical(gf):
-                    rad_ok = False
-                for e in range(c, c + l):
-                    h = basis_mor(params, c, e)
-                    if compose(h, gf) != compose(compose(h, g), f):
-                        assoc_ok = False
-    checks.append(Check("composition associativity over a window", assoc_ok))
-    checks.append(Check("radical is an ideal on basis pairs", rad_ok))
+    def window(case):
+        a, b, c = case
+        f, g = basis_mor(params, a, b), basis_mor(params, b, c)
+        gf = compose(g, f)
+        return (
+            all(compose(h, gf) == compose(compose(h, g), f)
+                for h in (basis_mor(params, c, e) for e in range(c, c + l))),
+            is_radical(gf) or not (is_radical(f) or is_radical(g)),
+        )
+
+    checks += _run(
+        lambda: ((a, b, c) for a in range(1, per + 1)
+                 for b in range(a, a + l) for c in range(b, b + l)),
+        window, lambda case: " -> ".join(pos_label(params, q) for q in case),
+        "composition associativity over a window", "radical is an ideal on basis pairs",
+    )
 
     # sums of at most 2 vertices in [1, l], every {0, +-1} matrix on their
     # at most 4 cells, each order type at its lowest and highest placement:
@@ -113,168 +135,142 @@ def verify_core(params: FamilyParams) -> list[Check]:
     # order type, its positions replaced by their ranks in the union.  The
     # lowest placement puts the union at 1..k and the highest at l-k+1..l,
     # so a defect that reads either end of the window still shows.
-    objs = [indec(q) for q in range(1, l + 1)]
-    objs += [
-        SumObject((a, b)) for a, b in combinations(range(1, l + 1), 2)
-    ] + [SumObject((q, q)) for q in range(1, l + 1)]
-    ok = True
-    values = (Fraction(0), Fraction(1), Fraction(-1))
-    for src in objs:
-        for tgt in objs:
-            used = set(src.summands + tgt.summands)
-            k = len(used)
-            if used != set(range(1, k + 1)) and used != set(range(l - k + 1, l + 1)):
-                continue
-            cells = [
-                (i, j)
-                for i, y in enumerate(tgt.summands)
-                for j, x in enumerate(src.summands)
-                if hom_dim(params, x, y)
-            ]
-            for combo in product(values, repeat=len(cells)):
-                ents = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-                for (i, j), v in zip(cells, combo):
-                    ents[i][j] = v
-                f = Morphism(params, src, tgt, tuple(tuple(r) for r in ents))
-                if (is_split_epi(f) and is_split_mono(f)) != block_iso_oracle(f):
-                    ok = False
-    checks.append(Check("split epi + split mono iff iso (brute force)", ok))
+    def pairs():  # the union of a pair's positions is 1..k or l-k+1..l
+        objs = [SumObject(qs) for k in (1, 2)
+                for qs in combinations_with_replacement(range(1, l + 1), k)]
+        return [(s, t) for s, t in product(objs, repeat=2)
+                if len(u := set(s.summands + t.summands)) in (max(u), l + 1 - min(u))]
 
-    ok = True
-    for q in range(1, per + 1):
-        x = indec(q)
-        for c in (Fraction(0), Fraction(2), Fraction(-3)):
-            f = Morphism(params, x, x, ((c,),))
-            if (c != 0) != is_iso(f):
-                ok = False
-    checks.append(Check("local endomorphism rings on vertices", ok))
-    return checks
+    def split(case):
+        zero = (Fraction(0),)
+        rows = (  # each row's {0, +-1} choices, 0 alone where Hom vanishes
+            product(*(zero + (Fraction(1), Fraction(-1)) if hom_dim(params, x, y) else zero
+                      for x in case[0].summands))
+            for y in case[1].summands
+        )
+        return (all(
+            (is_split_epi(f) and is_split_mono(f)) == block_iso_oracle(f)
+            for f in (Morphism(params, *case, entries) for entries in product(*rows))
+        ),)
+
+    checks += _run(
+        pairs, split,
+        lambda case: " -> ".join("+".join(pos_label(params, q) for q in o.summands) for o in case),
+        "split epi + split mono iff iso (brute force)",
+    )
+    return checks + _run(
+        lambda: range(1, per + 1),
+        lambda q: (all(
+            (c != 0) == is_iso(Morphism(params, indec(q), indec(q), ((c,),)))
+            for c in (Fraction(0), Fraction(2), Fraction(-3))
+        ),),
+        lambda q: pos_label(params, q), "local endomorphism rings on vertices",
+    )
 
 
 def verify_angles(params: FamilyParams) -> list[Check]:
-    checks = []
     per, l, d = params.period, params.l, params.d
 
-    min_ok = rot_ok = exact_ok = chain_ok = True
-    for i in range(1, per + 1):
-        for delta in range(1, l):
-            mu = basis_mor(params, i, i + delta)
-            a = min_angle(mu)
-            nonzero = [o for o in a.objects if not o.is_zero]
-            if len(nonzero) != d + 2 or not all(o.is_indec for o in nonzero):
-                min_ok = False
-            if not all(is_radical(a.maps[k]) for k in range(1, d)):
-                min_ok = False
-            if a.connecting.is_zero:
-                min_ok = False
-            if not check_hom_exactness(a).ok:
-                exact_ok = False
-            if rotate_left(rotate_right(a)) != a or rotate_right(rotate_left(a)) != a:
-                rot_ok = False
-            b = a
-            for _ in range(d + 2):
-                b = rotate_left(b)
-            if not _is_shift(b, a, 1):
-                rot_ok = False
-            if not _is_shift(min_angle(shift_mor(mu, 1)), a, 1):
-                min_ok = False
-            j = i + delta
-            if j <= per:
-                seq = d_exact_seq(params, i, j)
-                if not check_d_exact(seq):
-                    chain_ok = False
-                if not check_d_kernel(d_kernel(params, i, j), mu):
-                    chain_ok = False
-                if not check_d_cokernel(d_cokernel(params, i, j), mu):
-                    chain_ok = False
-                if sum(1 for o in seq.objects if not o.is_zero) != d + 2:
-                    chain_ok = False
-    checks.append(Check("minimal angles: shape, radical middles, equivariance", min_ok))
-    checks.append(Check("minimal angles pass the Hom exactness oracle", exact_ok))
-    checks.append(Check("rotations invert and iterate to the shift", rot_ok))
-    checks.append(Check("window chains pass both functor exactness tests", chain_ok))
-    return checks
+    def judge(case):
+        i, j = case
+        mu = basis_mor(params, i, j)
+        a = b = min_angle(mu)
+        for _ in range(d + 2):
+            b = rotate_left(b)
+        nonzero = [o for o in a.objects if not o.is_zero]
+        return (
+            len(nonzero) == d + 2 and all(o.is_indec for o in nonzero)
+            and all(is_radical(a.maps[k]) for k in range(1, d))
+            and not a.connecting.is_zero and _is_shift(min_angle(shift_mor(mu, 1)), a, 1),
+            check_hom_exactness(a).ok,
+            rotate_left(rotate_right(a)) == a == rotate_right(rotate_left(a))
+            and _is_shift(b, a, 1),
+            j > per or (
+                check_d_exact(seq := d_exact_seq(params, i, j))
+                and check_d_kernel(d_kernel(params, i, j), mu)
+                and check_d_cokernel(d_cokernel(params, i, j), mu)
+                and sum(1 for o in seq.objects if not o.is_zero) == d + 2
+            ),
+        )
+
+    return _run(
+        lambda: ((i, i + delta) for i in range(1, per + 1) for delta in range(1, l)),
+        judge, lambda case: " -> ".join(pos_label(params, q) for q in case),
+        "minimal angles: shape, radical middles, equivariance",
+        "minimal angles pass the Hom exactness oracle",
+        "rotations invert and iterate to the shift",
+        "window chains pass both functor exactness tests",
+    )
 
 
 def verify_ar(params: FamilyParams) -> list[Check]:
-    checks = []
-    per = params.period
+    per, d = params.period, params.d
     full = wide.full_spec(params)
+    ambient = {}  # this call's AR angles: listed once, reused by its Theorem-B checks
 
-    amb_ok = True
-    ambient = {}  # this call's AR angles, reused by its Theorem-B checks
-    for pos in range(1, per + 1):
-        a = ambient[pos] = artheory.ar_angle(params, pos)
-        if not check_hom_exactness(a).ok:
-            amb_ok = False
-        if not artheory.is_right_almost_split(full, a.maps[params.d]):
-            amb_ok = False
-        if not artheory.is_left_almost_split(full, a.maps[0]):
-            amb_ok = False
-        if not all(is_radical(a.maps[k]) for k in range(params.d + 1)):
-            amb_ok = False
-        if not _is_shift(artheory.ar_angle(params, pos + per), a, 1):
-            amb_ok = False
-    checks.append(Check("ambient AR angles pass all oracle tests", amb_ok))
+    def ambient_angles():
+        ambient.update((pos, artheory.ar_angle(params, pos)) for pos in range(1, per + 1))
+        return ambient.items()
 
-    sub_ok = cov_ok = thb_ok = socle_ok = True
-    for spec in wide.enumerate_wide(params):
-        for pos in spec.indices:
-            report = artheory._theorem_b(spec, pos, ambient[pos])
-            sub, cov = report.sub_angle, report.cover_result
-            if not report.sub_is_ar or sub.connecting.is_zero:
-                sub_ok = False
-            if not _is_shift(artheory.ar_angle_in(spec, pos + per), sub, 1):
-                sub_ok = False
-            if not report.ok:
-                thb_ok = False
-            if len(cov.source) > 1 or not report.cover_is_cover:
-                cov_ok = False
-            # connecting map spans the one-dimensional Hom into the shifted head
-            head = sub.objects[0].summands[0]
-            tail = sub.objects[-1].summands[0]
-            if hom_dim(params, tail, head + per) != 1:
-                socle_ok = False
-            if artheory.cover(spec, pos).source != indec(pos):
-                cov_ok = False  # cover of a member must be the identity
-    checks.append(Check("subcategory AR angles pass the definition oracle", sub_ok))
-    checks.append(Check("covers verified by the raw cover test", cov_ok))
-    checks.append(Check("cover <-> AR angle equivalence holds throughout", thb_ok))
-    checks.append(Check("connecting maps span the Hom into the shifted head", socle_ok))
-    return checks
+    def pair(case):
+        spec, pos = case
+        report = artheory._theorem_b(spec, pos, ambient[pos])
+        sub = report.sub_angle
+        # connecting map spans the one-dimensional Hom into the shifted head
+        head, tail = sub.objects[0].summands[0], sub.objects[-1].summands[0]
+        return (
+            report.sub_is_ar and not sub.connecting.is_zero
+            and _is_shift(artheory.ar_angle_in(spec, pos + per), sub, 1),
+            len(report.cover_result.source) <= 1 and report.cover_is_cover
+            and artheory.cover(spec, pos).source == indec(pos),  # a member covers itself
+            report.ok,
+            hom_dim(params, tail, head + per) == 1,
+        )
+
+    return _run(
+        ambient_angles,
+        lambda case: (
+            check_hom_exactness(a := case[1]).ok
+            and artheory.is_right_almost_split(full, a.maps[d])
+            and artheory.is_left_almost_split(full, a.maps[0])
+            and all(is_radical(a.maps[k]) for k in range(d + 1))
+            and _is_shift(artheory.ar_angle(params, case[0] + per), a, 1),
+        ),
+        lambda case: pos_label(params, case[0]),
+        "ambient AR angles pass all oracle tests",
+    ) + _run(
+        lambda: ((spec, pos) for spec in wide.enumerate_wide(params) for pos in spec.indices),
+        pair, lambda case: f"spec {list(case[0].indices)} at {pos_label(params, case[1])}",
+        "subcategory AR angles pass the definition oracle",
+        "covers verified by the raw cover test",
+        "cover <-> AR angle equivalence holds throughout",
+        "connecting maps span the Hom into the shifted head",
+    )
 
 
 def verify_wide(params: FamilyParams) -> list[Check]:
-    checks = []
-    enumerated = wide.enumerate_wide(params)
+    def judge(enumerated):
+        classified = sorted(set(wide.models(params, wide.semisimple_rules))
+                            | set(wide.models(params, wide.periodic_rules)))
+        return (
+            classified == [s.indices for s in enumerated],
+            wide.models(params, wide.closure_rules) == classified,
+            all(wide.unbar(params, wide.bar(s)).indices == s.indices for s in enumerated),
+            wide.empty_spec(params) in enumerated and wide.full_spec(params) in enumerated,
+        )
 
-    classified = sorted(
-        set(wide.models(params, wide.semisimple_rules))
-        | set(wide.models(params, wide.periodic_rules))
+    return _run(
+        lambda: (wide.enumerate_wide(params),), judge, lambda specs: f"{len(specs)} wide specs",
+        "enumeration equals the power-set filter",
+        "classification agrees with the closure oracle",
+        "unbar after bar is the identity on wide specs",
+        "empty and full specs are wide",
     )
-    agree = classified == [s.indices for s in enumerated]
-    oracle_agree = wide.models(params, wide.closure_rules) == classified
-    checks.append(Check("enumeration equals the power-set filter", agree))
-    checks.append(Check("classification agrees with the closure oracle", oracle_agree))
-
-    round_trip = all(
-        wide.unbar(params, wide.bar(spec)).indices == spec.indices
-        for spec in enumerated
-    )
-    checks.append(Check("unbar after bar is the identity on wide specs", round_trip))
-
-    edges = (
-        wide.empty_spec(params) in enumerated and wide.full_spec(params) in enumerated
-    )
-    checks.append(Check("empty and full specs are wide", edges))
-    return checks
 
 
 def verify_all(params: FamilyParams) -> list[Check]:
-    out = []
-    for suite in (verify_core, verify_angles, verify_ar, verify_wide):
-        out.extend(suite(params))
-    return out
+    return [c for suite in (verify_core, verify_angles, verify_ar, verify_wide)
+            for c in suite(params)]
 
 
 SUITES = {

@@ -15,7 +15,8 @@ the split references build the factor through the identity with it, as
 the definition reads.  The almost-split and precover references solve one
 `factor_reference` per test map, test vertices chosen by walking the
 quiver, where the library factors one test morphism whose columns are
-the test maps.  `matching_connector` builds the partial-matching
+the test maps; like the library, they raise ShapeMismatch for a map over
+other parameters than the spec's.  `matching_connector` builds the partial-matching
 connectors that `extend` is tested on, from drawn pairs,
 `ties_reordered` trades their slots of equal position, and
 `extend_reference` is the construction `extend` replaced: validated
@@ -150,6 +151,12 @@ def split_mono_reference(f):
     return factor_reference(f, identity_mor(f.params, f.source), "left") is not None
 
 
+def _same_params(spec, xi):
+    """A map over other parameters than the spec's has no verdict."""
+    if spec.params != xi.params:
+        raise ShapeMismatch("spec and map live over different parameters")
+
+
 def right_almost_split_reference(spec, xi):
     """xi, into a member vertex from a member object, is not split epi, and
     every basis map into its target from another member vertex factors
@@ -158,6 +165,7 @@ def right_almost_split_reference(spec, xi):
     The test vertices are the members w among the period positions left
     of the target with `path_hom_dim(w, target)` nonzero.
     """
+    _same_params(spec, xi)
     p, tgt = spec.params, xi.target.summands
     if len(tgt) != 1 or not spec.contains_pos(tgt[0]):
         raise NotMember("right almost split needs a member vertex target")
@@ -177,6 +185,7 @@ def left_almost_split_reference(spec, xi):
     and every basis map out of its source to another member vertex extends
     along xi, one at a time.
     """
+    _same_params(spec, xi)
     p, src = spec.params, xi.source.summands
     if len(src) != 1 or not spec.contains_pos(src[0]):
         raise NotMember("left almost split needs a member vertex source")
@@ -200,6 +209,7 @@ def precover_reference(spec, xi):
     left of the target's first summand to its last with
     `path_hom_dim(w, target_i)` nonzero.
     """
+    _same_params(spec, xi)
     p, tgt = spec.params, xi.target
     if not all(spec.contains_pos(x) for x in xi.source.summands):
         return False

@@ -36,7 +36,12 @@ from angulated import (
     zero_mor,
 )
 
-from oracles import angle_objects
+from oracles import (
+    angle_objects,
+    left_almost_split_reference,
+    precover_reference,
+    right_almost_split_reference,
+)
 
 PERIODIC = (1, 2, 5, 6, 9, 10)
 SINGLE_CLASS = (1, 5, 9)
@@ -207,16 +212,28 @@ class TestLeftAlmostSplit:
         assert not is_left_almost_split(SubcatSpec(p449, SINGLE_CLASS), basis_mor(p449, 5, 6))
 
 
+def _library_and_reference(checker, reference):
+    return pytest.mark.parametrize("check", [checker, reference], ids=["library", "reference"])
+
+
 class TestOtherParameters:
-    """A checker given a spec over other parameters raises ShapeMismatch."""
+    """A checker given a spec over other parameters raises ShapeMismatch, and
+    so does its reference in `tests/oracles.py` where one exists."""
 
-    def test_right_almost_split(self, p449, p223):
+    @_library_and_reference(is_right_almost_split, right_almost_split_reference)
+    def test_right_almost_split(self, p449, p223, check):
         with pytest.raises(ShapeMismatch):
-            is_right_almost_split(full_spec(p449), basis_mor(p223, 1, 2))
+            check(full_spec(p449), basis_mor(p223, 1, 2))
 
-    def test_left_almost_split(self, p449, p223):
+    @_library_and_reference(is_left_almost_split, left_almost_split_reference)
+    def test_left_almost_split(self, p449, p223, check):
         with pytest.raises(ShapeMismatch):
-            is_left_almost_split(full_spec(p449), basis_mor(p223, 1, 2))
+            check(full_spec(p449), basis_mor(p223, 1, 2))
+
+    @_library_and_reference(is_precover, precover_reference)
+    def test_precover(self, p449, p223, check):
+        with pytest.raises(ShapeMismatch):
+            check(full_spec(p449), basis_mor(p223, 1, 2))
 
     def test_cover(self, p449, p223):
         with pytest.raises(ShapeMismatch):

@@ -10,6 +10,8 @@ import pytest
 from angulated import ar_angle, basis_mor, min_angle
 from angulated.cli import angle_doc, doc_to_angle, main, parse_object
 
+from test_verify import RAISING_PLANTS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -145,6 +147,29 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "overall: PASS" in out
+
+    @pytest.mark.parametrize("plant", RAISING_PLANTS)
+    def test_a_raising_plant_is_a_failed_check(self, capsys, monkeypatch, plant):
+        # a defect that raises reaches the user as failed checks in the
+        # verify document, never as a traceback or an error document
+        owner, name, replacement, failing = RAISING_PLANTS[plant]
+        monkeypatch.setattr(owner, name, replacement)
+        code, out, err = run(capsys, *ARGS449, "verify", "all")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert {c["name"]: c["detail"] for c in doc["checks"] if not c["ok"]} == failing
+
+    def test_text_appends_a_detail_only_where_there_is_one(self, capsys, monkeypatch):
+        owner, name, replacement, failing = RAISING_PLANTS["cover-stops-at-index-1"]
+        monkeypatch.setattr(owner, name, replacement)
+        code, out, _ = run(capsys, *ARGS449, "--format", "text", "verify", "ar")
+        assert code == 1
+        assert out.splitlines() == [
+            "[PASS] ambient AR angles pass all oracle tests",
+            *(f"[FAIL] {name}: {detail}" for name, detail in failing.items()),
+            "overall: FAIL",
+        ]
 
     def test_all_suites_pass_with_asserts_stripped(self):
         # python -O drops assert statements; invariants must survive it

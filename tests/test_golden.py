@@ -6,6 +6,9 @@ subcommand and output format) before the CLI dispatch became a table of
 handlers; any change to a verdict, a detail string, a returned factor or
 the entry formatting changes a digest.  A deliberate
 change of output must update the digest in the same commit and say why.
+The `verify all` digests at the four benchmark ladder triples, (4,4,9),
+(2,6,7), (6,3,10) and (10,2,11), were taken before the suites' per-check
+flags gave way to one check runner.
 
 `test_extend_digest` pins the objects and entry matrices `extend` returns
 on 200 seeded partial-matching connectors.  It was taken after `extend`
@@ -38,6 +41,14 @@ GOLDEN = [
      "b5b832e3904674d967ad98ec6f02b4d250b1da32d05a49f3387a415c5007e647"),
     ((2, 3, 4), ("verify", "all"),
      "8fc4a5e0df05726c7c494bc3c636cb2d4ca15061ee5c435d3e6baa2436189dcb"),
+    ((4, 4, 9), ("verify", "all"),
+     "d1fe2d56073a2f7214c5e4b8c74862dc006ee9bdb27640014a5755185b01d1dc"),
+    ((2, 6, 7), ("verify", "all"),
+     "92f8eeca95b9926b87c053d3651c00d3dcb9486caefe296840dcb795464a773e"),
+    ((6, 3, 10), ("verify", "all"),
+     "5e43df42bd3831d831960fb7b94440216dd3365cbc12d053436f3f2826a950a0"),
+    ((10, 2, 11), ("verify", "all"),
+     "ce3dd583132a1444c6a5a10f9476128071acb2f90e361027c8257a7bdaaef827"),
     ((4, 4, 9), ("angle", "f1", "f3"),
      "e33f1b6d59e80b417f768d0cc962a0cf88168db8123d8d9189d171fa61b84532"),
     ((4, 4, 9), ("ar", "f5"),

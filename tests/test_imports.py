@@ -1,12 +1,16 @@
-"""No unused imports, no orphaned private helpers and no package asserts
-(standard library `ast` only).
+"""No unused imports, no orphaned private helpers, no package asserts and
+one broad catch (standard library `ast` only).
 
 `__init__.py` files are skipped by the import scan because their imports
 are re-exports; a single import line can opt out with `# noqa: F401`.  A
 module-level private definition (`_name`, not a dunder) in the package
 must be referenced somewhere in the package, so a helper left behind when
 its last caller goes is caught.  The package holds no `assert` statement:
-`python -O` strips them, so no invariant may live only in one.
+`python -O` strips them, so no invariant may live only in one.  The one
+handler in the package that catches `Exception`, `BaseException` or
+everything is the check runner of `verify`, which turns a raise into a
+failed check; a broad catch anywhere else would hide the defects that the
+oracles exist to find.
 """
 
 import ast
@@ -117,3 +121,41 @@ def test_no_assert_statements_in_the_package():
         path.name: lines for path in PACKAGE if (lines := assert_statements(path.read_text()))
     }
     assert found == {}
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def broad_catches(source: str) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of each `except` that catches
+    `Exception` or `BaseException`, alone or in a tuple, or everything."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and (
+                child.type is None
+                or any(isinstance(n, ast.Name) and n.id in BROAD for n in ast.walk(child.type))
+            ):
+                found.append((where, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_a_broad_catch():
+    src = ("try:\n    pass\nexcept:\n    pass\n\n"
+           "def f():\n    try:\n        pass\n    except ValueError:\n        pass\n"
+           "    def g():\n        try:\n            pass\n"
+           "        except (KeyError, BaseException) as exc:\n            pass\n"
+           "    try:\n        pass\n    except Exception:\n        pass\n")
+    assert broad_catches(src) == [("<module>", 3), ("g", 14), ("f", 18)]
+
+
+def test_one_broad_catch_in_the_package_in_the_verify_runner():
+    found = [
+        (path.name, where) for path in PACKAGE for where, _ in broad_catches(path.read_text())
+    ]
+    assert found == [("verify.py", "_run")]

@@ -8,16 +8,22 @@ import pytest
 
 import angulated
 from angulated import (
+    ZERO_OBJ,
     Angle,
+    CoverResult,
+    InternalError,
     Morphism,
     SumObject,
     angles,
     artheory,
+    basis_mor,
     enumerate_wide,
     indec,
+    index_of,
     validate_params,
     verify,
     wide,
+    zero_mor,
 )
 from angulated.core import is_split_epi, is_split_mono, scale
 
@@ -31,6 +37,10 @@ THEOREM_B = "cover <-> AR angle equivalence holds throughout"
 SPLIT = "split epi + split mono iff iso (brute force)"
 ENUM = "enumeration equals the power-set filter"
 ORACLE = "classification agrees with the closure oracle"
+SOCLE = "connecting maps span the Hom into the shifted head"
+ROUND_TRIP = "unbar after bar is the identity on wide specs"
+EDGES = "empty and full specs are wide"
+PAIRS = (SUB_AR, COVER, THEOREM_B, SOCLE)
 
 
 def _negate(fn):
@@ -275,3 +285,52 @@ def test_ar_suite_asks_each_oracle_once_per_member(monkeypatch, p449):
         "ar_angle": 2 * p449.period,
     }
     assert shifted == []
+
+
+def _cover_stopping_at_index_1(spec, pos):
+    """`artheory.cover` with a scan that reads window indices: it stops at
+    index 1 instead of going on to index `period` one period lower."""
+    p = spec.params
+    for w in range(pos, pos - p.l, -1):
+        if spec.contains_pos(w):
+            return CoverResult(indec(w), basis_mor(p, w, pos))
+        if index_of(p, w) == 1:
+            break
+    return CoverResult(ZERO_OBJ, zero_mor(p, ZERO_OBJ, indec(pos)))
+
+
+def _enumeration_raising(params):
+    raise InternalError("planted")
+
+
+# Planted defects that raise inside a suite, as (owner, name, replacement,
+# failing): at (4,4,9) each fails exactly the checks in `failing`, with the
+# detail given there.  A raise names its first case and the exception
+# class; a raise while listing names the case list; a check that fails
+# without a raise keeps an empty detail.
+RAISING_PLANTS = {
+    "cover-stops-at-index-1": (
+        artheory, "cover", _cover_stopping_at_index_1,
+        dict.fromkeys(PAIRS, "spec [2, 3, 4, 6, 7, 8, 10, 11, 12] at f10: InternalError"),
+    ),
+    "contains-pos-reads-pos-mod-period": (
+        wide.SubcatSpec, "contains_pos",
+        lambda spec, pos: pos % spec.params.period in spec.indices,
+        {
+            AMBIENT: "f9: NotMember",
+            **dict.fromkeys(PAIRS, f"spec {list(range(1, 13))} at f12: NotMember"),
+            ROUND_TRIP: "",
+        },
+    ),
+    "enumeration-raises": (
+        wide, "enumerate_wide", _enumeration_raising,
+        dict.fromkeys(PAIRS + (ENUM, ORACLE, ROUND_TRIP, EDGES), "case list: InternalError"),
+    ),
+}
+
+
+@pytest.mark.parametrize("plant", RAISING_PLANTS)
+def test_a_raising_plant_fails_exactly_its_checks(monkeypatch, p449, plant):
+    owner, name, replacement, failing = RAISING_PLANTS[plant]
+    monkeypatch.setattr(owner, name, replacement)
+    assert {c.name: c.detail for c in verify.verify_all(p449) if not c.ok} == failing
