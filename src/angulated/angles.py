@@ -112,15 +112,15 @@ def trivial_angle(params: FamilyParams, x: SumObject, c=1) -> Angle:
     return Angle(params, *_contractible(params, x, 0, c))
 
 
-def _degenerate_angle(params: FamilyParams, pos: int, c=1) -> Angle:
-    """shift(x, -1) -> 0 -> ... -> 0 -> x with connecting map c*id on x = f_pos.
+def _degenerate_angle(params: FamilyParams, pos: int) -> Angle:
+    """shift(x, -1) -> 0 -> ... -> 0 -> x with connecting map id on x = f_pos.
 
-    This is rotate_left(trivial_angle(params, indec(pos - period), c)),
-    built directly as the contractible chain with c*id in the connector
-    slot, because the rotation validates a second angle of d + 2 maps.  It
-    is the AR angle of a subcategory in the degenerate case.
+    This is rotate_left(trivial_angle(params, indec(pos - period))), built
+    directly as the contractible chain with id in the connector slot,
+    because the rotation validates a second angle of d + 2 maps.  It is the
+    AR angle of a subcategory in the degenerate case.
     """
-    return Angle(params, *_contractible(params, indec(pos), params.d + 1, c))
+    return Angle(params, *_contractible(params, indec(pos), params.d + 1))
 
 
 def rotate_left(a: Angle) -> Angle:
@@ -158,12 +158,6 @@ def direct_sum(first: Angle, *rest: Angle) -> Angle:
     return Angle(first.params, tuple(m.source for m in maps), maps)
 
 
-def _single_entry(mor: Morphism) -> Fraction | None:
-    if mor.source.is_indec and mor.target.is_indec:
-        return mor.entries[0][0]
-    return None
-
-
 def _min_positions(p: FamilyParams, x: int, y: int) -> list[int]:
     """Sorted positions of the minimal angle on u(x -> y), 1 <= y - x <= l - 1:
     y - r*l and x - r*l for 0 <= r <= d/2, so the last two are x and y."""
@@ -192,14 +186,11 @@ def min_angle(mu: Morphism) -> Angle:
     angle on the isomorphism mu.
     """
     p = mu.params
-    entry = _single_entry(mu)
-    if entry is None or entry == 0:
+    if not (mu.source.is_indec and mu.target.is_indec and mu.entries[0][0]):
         raise BadDistance("min_angle needs a nonzero morphism between single vertices")
     x, y = mu.source.summands[0], mu.target.summands[0]
-    if y - x >= p.l or y - x < 0:
-        raise BadDistance(f"distance {y - x} admits no nonzero morphism")
     if x == y:
-        return trivial_angle(p, mu.source, entry)
+        return trivial_angle(p, mu.source, mu.entries[0][0])
     positions = _min_positions(p, x, y)
     maps = [basis_mor(p, a, b) for a, b in zip(positions, positions[1:-1])]
     maps += [mu, basis_mor(p, y, positions[0] + p.period)]  # mu in slot d

@@ -361,7 +361,7 @@ def _wide(params, args):
     spec = _parse_sub(params, args.spec)
     semis = wide.is_semisimple_wide(spec)
     periodic = wide.is_l_periodic(spec)
-    classified = wide.is_wide(spec)
+    classified = semis or periodic
     oracle = wide.is_wide_oracle(spec)
     doc = {
         "params": params_doc(params),

@@ -19,7 +19,7 @@ Everything downstream (angles, covers, AR theory) reduces to this distance
 rule plus exact linear algebra over the rationals.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
@@ -63,38 +63,43 @@ class NotMember(DomainError):
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Admissible triple (d, l, m) plus the derived period m + l - 1."""
+    """Admissible triple (d, l, m) plus the derived period m + l - 1.
+
+    Requires d even and >= 2, l >= 2, m >= 3 and m - 1 = d*l/2; raises
+    ConstraintViolation naming the first failed condition.  The period is
+    derived, never passed.
+    """
 
     d: int
     l: int
     m: int
-    period: int
+    period: int = field(init=False)
+
+    def __post_init__(self):
+        d, l, m = self.d, self.l, self.m
+        for name, value in (("d", d), ("l", l), ("m", m)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConstraintViolation(f"{name} must be an integer, got {value!r}")
+        if d < 2 or d % 2 != 0:
+            raise ConstraintViolation(f"d must be an even integer >= 2, got {d}")
+        if l < 2:
+            raise ConstraintViolation(f"l must be an integer >= 2, got {l}")
+        if m < 3:
+            raise ConstraintViolation(f"m must be an integer >= 3, got {m}")
+        if 2 * (m - 1) != d * l:
+            raise ConstraintViolation(
+                f"need m - 1 = d*l/2, got m - 1 = {m - 1} and d*l/2 = {d * l // 2}"
+            )
+        period = m + l - 1
+        # consequence of the constraint, kept as a hard check
+        if 2 * period != l * (d + 2):
+            raise InternalError(f"period {period} breaks 2*period = l*(d+2)")
+        object.__setattr__(self, "period", period)
 
 
 def validate_params(d: int, l: int, m: int) -> FamilyParams:
-    """Validate the family constraints and return the parameter record.
-
-    Requires d even and >= 2, l >= 2, m >= 3 and m - 1 = d*l/2; raises
-    ConstraintViolation naming the first failed condition.
-    """
-    for name, value in (("d", d), ("l", l), ("m", m)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConstraintViolation(f"{name} must be an integer, got {value!r}")
-    if d < 2 or d % 2 != 0:
-        raise ConstraintViolation(f"d must be an even integer >= 2, got {d}")
-    if l < 2:
-        raise ConstraintViolation(f"l must be an integer >= 2, got {l}")
-    if m < 3:
-        raise ConstraintViolation(f"m must be an integer >= 3, got {m}")
-    if 2 * (m - 1) != d * l:
-        raise ConstraintViolation(
-            f"need m - 1 = d*l/2, got m - 1 = {m - 1} and d*l/2 = {d * l // 2}"
-        )
-    period = m + l - 1
-    # consequence of the constraint, kept as a hard check
-    if 2 * period != l * (d + 2):
-        raise InternalError(f"period {period} breaks 2*period = l*(d+2)")
-    return FamilyParams(d=d, l=l, m=m, period=period)
+    """The checked parameter record of (d, l, m); see `FamilyParams`."""
+    return FamilyParams(d, l, m)
 
 
 def split_pos(params: FamilyParams, pos: int) -> tuple[int, int]:

@@ -341,6 +341,15 @@ class TestWindowChains:
         with pytest.raises(ShapeMismatch, match="object k"):
             check_d_exact(FLevelChain(p449, "exact", exact.objects, maps))
 
+    def test_chain_not_at_the_end_of_mu_rejected(self, p449):
+        # the kernel chain ends at f3 and the cokernel chain starts at f5
+        # (ladder 1, 3, 5, 7, 9, 11), so neither meets u(2 -> 4)
+        mu = basis_mor(p449, 2, 4)
+        with pytest.raises(ShapeMismatch, match="end at the source"):
+            check_d_kernel(d_kernel(p449, 3, 5), mu)
+        with pytest.raises(ShapeMismatch, match="start at the target"):
+            check_d_cokernel(d_cokernel(p449, 3, 5), mu)
+
     def test_maps_over_other_parameters_rejected(self, p449, p223):
         # the checks read l and the period off the chain, so a map over
         # another triple would be tested against the wrong windows
@@ -490,6 +499,20 @@ class TestAngleValidation:
         maps[1] = basis_mor(p449, 2, 4)  # wrong target slot
         with pytest.raises(ShapeMismatch):
             Angle(p449, a.objects, tuple(maps))
+
+    def test_wrong_length_rejected(self, p449):
+        a = min_angle(basis_mor(p449, 9, 10))
+        with pytest.raises(ShapeMismatch, match="6 objects and 6 maps"):
+            Angle(p449, a.objects[:-1], a.maps)
+        with pytest.raises(ShapeMismatch, match="6 objects and 6 maps"):
+            Angle(p449, a.objects, a.maps + (a.maps[0],))
+
+    def test_map_over_other_parameters_rejected(self, p449, p223):
+        # the identity on f1 is a valid matrix over both triples
+        a = trivial_angle(p449, indec(1))
+        maps = (Morphism(p223, indec(1), indec(1), ((1,),)),) + a.maps[1:]
+        with pytest.raises(ShapeMismatch, match="different parameters"):
+            Angle(p449, a.objects, maps)
 
     def test_wrap_composite_checked(self, p449):
         # the first map must kill the unshifted connecting map: here the

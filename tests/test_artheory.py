@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from angulated import (
+    Angle,
     Morphism,
     NotMember,
     NotWide,
@@ -189,6 +190,10 @@ class TestRightAlmostSplit:
         # zero, so u(f4 -> f5) would pass, but f4 is not a member
         assert not is_right_almost_split(SubcatSpec(p449, SINGLE_CLASS), basis_mor(p449, 4, 5))
 
+    def test_sum_target_rejected(self, p449):
+        with pytest.raises(NotMember, match="single vertex target"):
+            is_right_almost_split(full_spec(p449), identity_mor(p449, SumObject((4, 5))))
+
 
 class TestLeftAlmostSplit:
     def test_first_map_of_ar_angle(self, p449):
@@ -210,6 +215,10 @@ class TestLeftAlmostSplit:
     def test_nonmember_target_fails(self, p449):
         # the dual: u(f5 -> f6) out of the member f5, but f6 is not a member
         assert not is_left_almost_split(SubcatSpec(p449, SINGLE_CLASS), basis_mor(p449, 5, 6))
+
+    def test_sum_source_rejected(self, p449):
+        with pytest.raises(NotMember, match="single vertex source"):
+            is_left_almost_split(full_spec(p449), identity_mor(p449, SumObject((4, 5))))
 
 
 def _library_and_reference(checker, reference):
@@ -336,6 +345,16 @@ class TestIsArAngle:
     def test_membership_gate(self, p449):
         with pytest.raises(NotMember):
             is_ar_angle(SubcatSpec(p449, SINGLE_CLASS), ar_angle(p449, 5))
+
+    def test_fails_at_map_d_alone(self, p449):
+        # map d of an AR angle replaced by zero: the composites still vanish
+        # and map 0 is still left almost split, but no map into the end
+        # factors through zero
+        a, d, full = ar_angle(p449, 5), p449.d, full_spec(p449)
+        zero = zero_mor(p449, a.objects[d], a.objects[d + 1])
+        b = Angle(p449, a.objects, a.maps[:d] + (zero, a.maps[d + 1]))
+        assert is_left_almost_split(full, b.maps[0])
+        assert not is_ar_angle(full, b)
 
 
 class TestTheoremB:

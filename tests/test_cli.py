@@ -117,6 +117,17 @@ class TestArAndCover:
         assert code == 0
         assert json.loads(out)["source"] == [{"shift": -1, "index": 2}]
 
+    def test_empty_spec(self, capsys):
+        # an empty --sub is the empty subcategory: f1 is no member, and the
+        # cover of f1 is the zero map
+        code, out, err = run(capsys, *ARGS449, "ar", "f1", "--sub", "")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "NotMember"
+        code, out, _ = run(capsys, *ARGS449, "cover", "f1", "--sub", "")
+        doc = json.loads(out)
+        assert code == 0 and doc["sub"] == [] and doc["source"] == []
+        assert doc["morphism"]["entries"] == [[]]
+
 
 class TestWideCommands:
     def test_list_smallest(self, capsys):

@@ -7,6 +7,7 @@ import pytest
 from angulated import (
     BadDistance,
     ConstraintViolation,
+    FamilyParams,
     Morphism,
     ShapeMismatch,
     SumObject,
@@ -48,7 +49,8 @@ class TestValidateParams:
 
     @pytest.mark.parametrize(
         "d,l,m",
-        [(4, 4, 8), (2, 1, 2), (0, 2, 1), (2, 2, 4), (-2, 2, 3)],
+        [(4, 4, 8), (2, 1, 2), (0, 2, 1), (2, 2, 4), (-2, 2, 3), (2, 2, 2),
+         (True, 2, 3), (2, 4.0, 5), ("4", 2, 3)],
     )
     def test_bad_triples_rejected(self, d, l, m):
         with pytest.raises(ConstraintViolation):
@@ -59,6 +61,22 @@ class TestValidateParams:
         for d, l, m in [(2, 2, 3), (2, 3, 4), (4, 4, 9), (2, 4, 5), (6, 2, 7)]:
             p = validate_params(d, l, m)
             assert 2 * p.period == l * (d + 2)
+
+
+class TestFamilyParams:
+    # the record checks itself: validate_params only names it
+    def test_period_is_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            FamilyParams(4, 4, 9, 13)
+        p = FamilyParams(4, 4, 9)
+        assert p == validate_params(4, 4, 9) and p.period == 12
+
+    @pytest.mark.parametrize("d,l,m", [(3, 4, 9), (4, 4, 8), (2, 1, 2), (True, 2, 3)])
+    def test_checks_as_validate_params_does(self, d, l, m):
+        with pytest.raises(ConstraintViolation) as want:
+            validate_params(d, l, m)
+        with pytest.raises(ConstraintViolation, match=re.escape(str(want.value))):
+            FamilyParams(d, l, m)
 
 
 class TestPositions:
@@ -141,6 +159,16 @@ class TestCompose:
     def test_shape_mismatch(self, p449):
         with pytest.raises(ShapeMismatch):
             compose(basis_mor(p449, 1, 2), basis_mor(p449, 1, 2))
+
+    @pytest.mark.parametrize("operation", [compose, right_factor, left_factor])
+    def test_other_parameters_or_ends_rejected(self, p449, p223, operation):
+        # compose(g, f) needs target(f) = source(g), right_factor equal
+        # targets and left_factor equal sources, all over one triple
+        u12 = basis_mor(p449, 1, 2)
+        with pytest.raises(ShapeMismatch):
+            operation(u12, basis_mor(p223, 1, 2))
+        with pytest.raises(ShapeMismatch):
+            operation(u12, basis_mor(p449, 3, 4))
 
     def test_associativity_window(self, p223):
         p = p223

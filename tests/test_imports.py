@@ -1,14 +1,16 @@
-"""No unused imports, no orphaned private helpers, no package asserts and
-one broad catch (standard library `ast` only).
+"""No unused imports, no orphaned private helpers, no never-set defaults,
+no package asserts and one broad catch (standard library `ast` only).
 
 `__init__.py` files are skipped by the import scan because their imports
 are re-exports; a single import line can opt out with `# noqa: F401`.  A
 module-level private definition (`_name`, not a dunder) in the package
 must be referenced somewhere in the package, so a helper left behind when
-its last caller goes is caught.  The package holds no `assert` statement:
-`python -O` strips them, so no invariant may live only in one.  The one
-handler in the package that catches `Exception`, `BaseException` or
-everything is the check runner of `verify`, which turns a raise into a
+its last caller goes is caught.  Each defaulted parameter of such a
+function must be passed by some call in the package, so a parameter that
+no caller sets goes with its default.  The package holds no `assert`
+statement: `python -O` strips them, so no invariant may live only in one.
+The one handler in the package that catches `Exception`, `BaseException`
+or everything is the check runner of `verify`, which turns a raise into a
 failed check; a broad catch anywhere else would hide the defects that the
 oracles exist to find.
 """
@@ -103,6 +105,60 @@ def test_checker_flags_an_orphaned_private_helper():
 def test_no_orphaned_private_helpers():
     sources = {path.name: path.read_text() for path in PACKAGE}
     assert orphaned_private_defs(sources) == []
+
+
+def never_passed_defaults(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of module-level `_name` functions that no call in
+    `sources` passes, by position or by keyword.
+
+    A call reaches a function through its name or an attribute of that
+    name; a `*args` may pass any position and a `**kwargs` any parameter.
+    """
+    defaults, calls = [], []
+    for label, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaults += [(label, node.name, a.arg, i, node.lineno)
+                         for i, a in enumerate(positional) if i >= first]
+            defaults += [(label, node.name, a.arg, None, node.lineno)
+                         for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        calls += [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+    def passes(call, name, arg, index):
+        func = call.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != name:
+            return False
+        if any(k.arg in (arg, None) for k in call.keywords):
+            return True
+        return index is not None and (
+            index < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args)
+        )
+
+    return [f"{label}: {name}({arg}) (line {line})" for label, name, arg, index, line in defaults
+            if not any(passes(call, name, arg, index) for call in calls)]
+
+
+def test_checker_flags_a_never_passed_default():
+    sources = {
+        "a.py": "def _f(x, y=1, *, z=2):\n    return x\n\n"
+                "def _g(x, y=1, z=2):\n    return x\n\n"
+                "def _h(x, y=1):\n    return x\n\n"
+                "def _k(x=0, **kw):\n    return x\n\n"
+                "def public(x=1):\n    return x\n",
+        "b.py": "import a\n\na._f(1, 2)\na._g(0, z=3)\na._h(*[1, 2])\n_k(**{})\n",
+    }
+    assert never_passed_defaults(sources) == ["a.py: _f(z) (line 1)", "a.py: _g(y) (line 4)"]
+
+
+def test_every_default_of_a_private_function_is_passed_somewhere():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert never_passed_defaults(sources) == []
 
 
 def assert_statements(source: str) -> list[int]:

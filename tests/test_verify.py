@@ -1,6 +1,7 @@
 """The verify suites: each oracle verdict reaches exactly the checks built on it."""
 
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -133,6 +134,24 @@ def test_split_check_builds_each_order_type_at_two_placements(monkeypatch, tripl
     assert all(c.ok for c in verify.verify_core(p))
     # the local endomorphism check builds three per window vertex
     assert count[0] - 3 * p.period == built
+
+
+def test_associativity_builds_each_composite_once(monkeypatch, p449):
+    # a case is one pair g = u(b -> c); h o g is built once per h = u(c -> e)
+    # and g o f once per f = u(a -> b), then each of the period * l^3 tests
+    # composes twice: (h o g) o f against h o (g o f)
+    calls = Counter()
+    for name in ("compose", "basis_mor"):
+        fn = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args)
+        )
+    assert all(c.ok for c in verify.verify_core(p449))
+    per, l = p449.period, p449.l
+    assert calls == {
+        "compose": 2 * per * l**3 + 2 * per * l**2, "basis_mor": per * l * (1 + 2 * l),
+    }
+    assert calls == {"compose": 1920, "basis_mor": 432}
 
 
 def _edited(rules, edit):
