@@ -35,13 +35,12 @@ from .core import (
     ShapeMismatch,
     SumObject,
     ZERO_OBJ,
+    _exact,
     basis_mor,
     compose,
     direct_sum_mor,
     indec,
-    identity_mor,
     residue_class,
-    scale,
     shift_mor,
     shift_obj,
     zero_mor,
@@ -56,7 +55,8 @@ class Angle:
 
     maps[k] goes objects[k] -> objects[k+1] for k <= d and the connecting
     map maps[d+1] goes objects[d+1] -> shift(objects[0], 1).  Consecutive
-    composites vanish, including around the wrap.
+    composites vanish, including around the wrap; a composite with a zero
+    factor vanishes and is not built, nor then is the shifted connector.
     """
 
     params: FamilyParams
@@ -74,10 +74,11 @@ class Angle:
                 raise ShapeMismatch("angle maps live over different parameters")
             if mor.source != self.objects[k] or mor.target != targets[k]:
                 raise ShapeMismatch(f"map {k} does not match the object chain")
+        maps, zero = self.maps, [m.is_zero for m in self.maps]
         for k in range(n - 1):
-            if not compose(self.maps[k + 1], self.maps[k]).is_zero:
+            if not (zero[k] or zero[k + 1] or compose(maps[k + 1], maps[k]).is_zero):
                 raise ValueError(f"consecutive maps {k}, {k + 1} do not compose to zero")
-        if not compose(self.maps[0], shift_mor(self.maps[-1], -1)).is_zero:
+        if not (zero[0] or zero[-1] or compose(maps[0], shift_mor(maps[-1], -1)).is_zero):
             raise ValueError("wrap-around composite is nonzero")
 
     @property
@@ -90,16 +91,18 @@ def _contractible(params: FamilyParams, y: SumObject, k: int, c=1):
 
     Slot k is the map objects[k] -> objects[k+1], so objects[k] and
     objects[k+1] are y; for k = d + 1 the map is the connector and
-    objects[0] is shift(y, -1).  Every other object and map is zero.
+    objects[0] is shift(y, -1).  Every other object and map is zero.  The
+    one map c*id_y is a single Morphism; an inexact c raises TypeError.
     """
-    n = params.d + 2
+    n, c = params.d + 2, _exact(c, "scalar")
     objects = [ZERO_OBJ] * n
     objects[k] = y
     objects[(k + 1) % n] = y if k + 1 < n else shift_obj(params, y, -1)
     targets = objects[1:] + [shift_obj(params, objects[0], 1)]
     zero = zero_mor(params, ZERO_OBJ, ZERO_OBJ)  # immutable, so shared by its slots
+    cid = tuple(tuple(c if i == j else _ZERO for j in range(len(y))) for i in range(len(y)))
     maps = tuple(
-        scale(identity_mor(params, y), c) if s == k
+        Morphism(params, y, y, cid) if s == k
         else zero if src == tgt == ZERO_OBJ
         else zero_mor(params, src, tgt)
         for s, (src, tgt) in enumerate(zip(objects, targets))

@@ -22,7 +22,8 @@ connectors that `extend` is tested on, from drawn pairs,
 `extend_reference` is the construction `extend` replaced: validated
 block angles summed slot-wise, then permuted back onto the connector.
 `with_map_zeroed` spoils an angle so that the exactness tests see failures
-too.
+too.  `angle_composite_failure` is `Angle`'s composite check with every
+composite built, a zero factor or not.
 """
 
 from angulated import (
@@ -33,6 +34,7 @@ from angulated import (
     SumObject,
     ZERO_OBJ,
     basis_mor,
+    compose,
     identity_mor,
     indec,
     linalg,
@@ -331,6 +333,21 @@ def with_map_zeroed(a, k):
     maps = list(a.maps)
     maps[k] = zero_mor(a.params, maps[k].source, maps[k].target)
     return Angle(a.params, a.objects, tuple(maps))
+
+
+def angle_composite_failure(objects, maps):
+    """The message `Angle` raises for a chain whose shapes fit, or None.
+
+    Every consecutive composite is built, then the wrap-around composite
+    through the connector shifted back by one period; the first nonzero one
+    names the failure.
+    """
+    for k in range(len(objects) - 1):
+        if not compose(maps[k + 1], maps[k]).is_zero:
+            return f"consecutive maps {k}, {k + 1} do not compose to zero"
+    if not compose(maps[0], shift_mor(maps[-1], -1)).is_zero:
+        return "wrap-around composite is nonzero"
+    return None
 
 
 def angle_objects(params, a):

@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from angulated import (
     check_d_exact,
     check_d_kernel,
     check_hom_exactness,
+    compose,
     d_cokernel,
     d_exact_seq,
     d_kernel,
@@ -36,11 +38,13 @@ from angulated import (
     validate_params,
     zero_mor,
 )
-from angulated import linalg
-from angulated.angles import FLevelChain
+from angulated import angles, linalg
+from angulated.angles import FLevelChain, _degenerate_angle
 from angulated.core import scale
+from angulated.verify import verify_ar
 
 from oracles import (
+    angle_composite_failure,
     angle_objects,
     extend_reference,
     hom_exactness_reference,
@@ -84,6 +88,22 @@ class TestTrivialAngle:
         a = trivial_angle(p449, x)
         assert a.objects[0] == a.objects[1] == x
         assert check_hom_exactness(a).ok
+
+    def test_scalar_on_a_sum(self, p449):
+        c = Fraction(-3, 2)
+        a = trivial_angle(p449, SumObject((1, 2)), c)
+        assert a.maps[0].entries == ((c, 0), (0, c))
+        assert all(m.is_zero for m in a.maps[1:])
+
+    def test_zero_scalar_gives_zero_maps(self, p449):
+        a = trivial_angle(p449, SumObject((1, 2)), 0)
+        assert a.objects[0] == a.objects[1] == SumObject((1, 2))
+        assert all(m.is_zero for m in a.maps)
+
+    @pytest.mark.parametrize("c", [0.5, Decimal("0.1"), "1/2"])
+    def test_inexact_scalar_rejected(self, p449, c):
+        with pytest.raises(TypeError, match="scalar"):
+            trivial_angle(p449, SumObject((1, 2)), c)
 
 
 class TestRotations:
@@ -268,8 +288,10 @@ class TestExtend:
         # The 100 `exactness` requests of the query-session gate seed, each
         # a connector and its `extend`.  Per call: the connector and its two
         # objects; d new middle objects and shift(target, -1); the d+1 maps
-        # before the connector; and Angle validation's d+1 composites, its
-        # shifted connector (three objects) and its wrap composite.
+        # before the connector; shift(object 0, 1) for Angle validation; and
+        # one composite per consecutive pair of nonzero maps.  Only when map
+        # 0 and the connector are both nonzero, the shifted connector (three
+        # objects) and the wrap composite.
         requests = _gate_exactness_requests()
         assert len(requests) == 100
         built = {Morphism: 0, SumObject: 0}
@@ -281,12 +303,19 @@ class TestExtend:
                 post_init(self)
 
             monkeypatch.setattr(cls, "__post_init__", counting)
-        for p, (src, tgt, ents) in requests:
+        extended = [
             extend(Morphism(p, SumObject(src), SumObject(tgt), ents))
-        assert (built[Morphism], built[SumObject]) == (
-            sum(2 * p.d + 5 for p, _ in requests), sum(p.d + 6 for p, _ in requests)
-        )
-        assert (built[Morphism], built[SumObject]) == (1412, 1056)
+            for p, (src, tgt, ents) in requests
+        ]
+        want = [0, 0]
+        for a in extended:
+            nonzero = [not m.is_zero for m in a.maps]
+            pairs = sum(f and g for f, g in zip(nonzero, nonzero[1:]))
+            wrap = nonzero[0] and nonzero[-1]
+            want[0] += a.params.d + 2 + pairs + 2 * wrap
+            want[1] += a.params.d + 4 + 2 * wrap
+        assert [built[Morphism], built[SumObject]] == want
+        assert (built[Morphism], built[SumObject]) == (1318, 1040)
 
 
 class TestWindowChains:
@@ -516,17 +545,66 @@ class TestAngleValidation:
 
     def test_wrap_composite_checked(self, p449):
         # the first map must kill the unshifted connecting map: here the
-        # composite s-1:f12 -> f1 -> f2 has distance 2 and survives
-        with pytest.raises(ValueError, match="wrap"):
-            Angle(
-                p449,
-                (indec(1), indec(2), ZERO_OBJ, ZERO_OBJ, ZERO_OBJ, indec(12)),
-                (
-                    basis_mor(p449, 1, 2),
-                    zero_mor(p449, indec(2), ZERO_OBJ),
-                    zero_mor(p449, ZERO_OBJ, ZERO_OBJ),
-                    zero_mor(p449, ZERO_OBJ, ZERO_OBJ),
-                    zero_mor(p449, ZERO_OBJ, indec(12)),
-                    basis_mor(p449, 12, 13),
-                ),
-            )
+        # composite s-1:f12 -> f1 -> f2 has distance 2 and survives.  Every
+        # middle map is zero, so no consecutive composite is built
+        objects = (indec(1), indec(2), ZERO_OBJ, ZERO_OBJ, ZERO_OBJ, indec(12))
+        maps = (
+            basis_mor(p449, 1, 2),
+            zero_mor(p449, indec(2), ZERO_OBJ),
+            zero_mor(p449, ZERO_OBJ, ZERO_OBJ),
+            zero_mor(p449, ZERO_OBJ, ZERO_OBJ),
+            zero_mor(p449, ZERO_OBJ, indec(12)),
+            basis_mor(p449, 12, 13),
+        )
+        want = "wrap-around composite is nonzero"
+        assert angle_composite_failure(objects, maps) == want
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            Angle(p449, objects, maps)
+
+    def test_zero_maps_around_a_surviving_pair_still_rejected(self, p449):
+        # maps 0 and 3 are zero, so their composites are not built; maps 1
+        # and 2 compose to u(f1 -> f3), which survives (distance 2 < l)
+        objects = (indec(0), indec(1), indec(2), indec(3), ZERO_OBJ, ZERO_OBJ)
+        maps = (
+            zero_mor(p449, indec(0), indec(1)),
+            basis_mor(p449, 1, 2),
+            basis_mor(p449, 2, 3),
+            zero_mor(p449, indec(3), ZERO_OBJ),
+            zero_mor(p449, ZERO_OBJ, ZERO_OBJ),
+            zero_mor(p449, ZERO_OBJ, indec(12)),
+        )
+        want = "consecutive maps 1, 2 do not compose to zero"
+        assert angle_composite_failure(objects, maps) == want
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            Angle(p449, objects, maps)
+
+
+class TestValidationComposites:
+    """A composite with a zero factor vanishes, so Angle does not build it."""
+
+    @pytest.fixture
+    def composites(self, monkeypatch):
+        """The number of `compose` calls that Angle validation makes."""
+        calls = [0]
+
+        def counting(g, f):
+            calls[0] += 1
+            return compose(g, f)
+
+        monkeypatch.setattr(angles, "compose", counting)
+        return calls
+
+    def test_contractible_angles_build_none(self, p449, composites):
+        _degenerate_angle(p449, 5)
+        trivial_angle(p449, indec(5))
+        assert composites[0] == 0
+
+    def test_min_angle_builds_every_composite(self, p449, composites):
+        # every map of a minimal angle is nonzero: d + 1 consecutive
+        # composites and the wrap
+        min_angle(basis_mor(p449, 1, 3))
+        assert composites[0] == p449.d + 2 == 6
+
+    def test_verify_ar_builds_only_composites_of_nonzero_maps(self, p449, composites):
+        assert all(c.ok for c in verify_ar(p449))
+        assert composites[0] == 1152

@@ -43,17 +43,19 @@ from angulated import (
     rotate_right,
     shift_angle,
     shift_mor,
+    shift_obj,
     split_pos,
     theorem_b_check,
     trivial_angle,
     validate_params,
     zero_mor,
 )
-from angulated.angles import FLevelChain
+from angulated.angles import FLevelChain, _degenerate_angle
 from angulated.core import direct_sum_mor, left_factor, right_factor, scale
 from angulated.verify import _is_shift
 
 from oracles import (
+    angle_composite_failure,
     block_iso_oracle,
     d_cokernel_reference,
     d_exact_reference,
@@ -386,6 +388,76 @@ def test_extend_is_the_summed_block_construction(p, periods, data):
     # cells and unmatched summands are drawn at every span
     delta = _draw_connector(data, p, periods)
     assert extend(delta) == extend_reference(delta)
+
+
+def _draw_chain(data, p):
+    """Objects and maps of a chain that may not be an angle.
+
+    Its d + 2 gaps, the last one the connector's into shift(object 0, 1),
+    lie in [0, l - 1] and sum to one period, so every map may be nonzero
+    and a composite survives where two gaps sum to less than l.  Each
+    object is 0-2 vertices at its place or one past it.  A quarter of the
+    maps are zero, the others have a nonzero rational at every cell the
+    support rule allows.
+    """
+    # gap k is the count of k among l - 1 units per gap, shuffled, cut to a period
+    units = data.draw(st.permutations([k for k in range(p.d + 2) for _ in range(p.l - 1)]))
+    units, place = units[:p.period], data.draw(st.integers(-p.period, p.period))
+    objects = []
+    for k in range(p.d + 2):
+        size = data.draw(st.sampled_from([1, 2, 0]))
+        objects.append(SumObject(tuple(data.draw(
+            st.lists(st.integers(place, place + 1), min_size=size, max_size=size)))))
+        place += units.count(k)
+    targets = objects[1:] + [shift_obj(p, objects[0], 1)]
+    maps = tuple(
+        zero_mor(p, src, tgt) if data.draw(st.integers(0, 3)) == 0
+        else Morphism(p, src, tgt, tuple(
+            tuple(data.draw(_SCALARS_ST) if hom_dim(p, x, y) else 0 for x in src.summands)
+            for y in tgt.summands
+        ))
+        for src, tgt in zip(objects, targets)
+    )
+    return tuple(objects), maps
+
+
+def _draw_angle_parts(data, p):
+    """Objects and maps of a random chain half of the time, otherwise of an
+    angle from `min_angle`, `extend`, `trivial_angle` or `_degenerate_angle`
+    with one or two maps zeroed or scaled, which is still an angle."""
+    if data.draw(st.booleans()):
+        return _draw_chain(data, p)
+    kind = data.draw(st.sampled_from(["min", "extend", "trivial", "degenerate"]))
+    i = data.draw(st.integers(-p.period, p.period))
+    if kind == "min":
+        a = min_angle(basis_mor(p, i, i + data.draw(st.integers(0, p.l - 1))))
+    elif kind == "extend":
+        a = extend(_draw_connector(data, p))
+    elif kind == "trivial":
+        x = SumObject(tuple(data.draw(st.lists(st.integers(i, i + p.l), max_size=2))))
+        a = trivial_angle(p, x, data.draw(_SCALARS_ST))
+    else:
+        a = _degenerate_angle(p, i)
+    maps = list(a.maps)
+    ks = st.lists(st.integers(0, len(maps) - 1), min_size=1, max_size=2, unique=True)
+    for k in data.draw(ks):
+        maps[k] = scale(maps[k], data.draw(st.one_of(st.just(0), _SCALARS_ST)))
+    return a.objects, tuple(maps)
+
+
+@given(st.sampled_from(SESSION_PARAMS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_angle_validation_matches_the_every_composite_reference(p, data):
+    # Angle builds no composite with a zero factor, the reference builds
+    # every one: each chain fails in both or in neither, with one message
+    objects, maps = _draw_angle_parts(data, p)
+    want = angle_composite_failure(objects, maps)
+    try:
+        Angle(p, objects, maps)
+        got = None
+    except ValueError as e:
+        got = str(e)
+    assert got == want
 
 
 @given(params_st, st.data())
