@@ -57,6 +57,9 @@ class Angle:
     map maps[d+1] goes objects[d+1] -> shift(objects[0], 1).  Consecutive
     composites vanish, including around the wrap; a composite with a zero
     factor vanishes and is not built, nor then is the shifted connector.
+    Shapes are checked on position tuples, the wrap-around target being
+    object 0's positions moved by one period, and a map's parameter record
+    by identity, falling back to equality for a separately built record.
     """
 
     params: FamilyParams
@@ -68,11 +71,12 @@ class Angle:
         n = p.d + 2
         if len(self.objects) != n or len(self.maps) != n:
             raise ShapeMismatch(f"an angle needs {n} objects and {n} maps")
-        targets = self.objects[1:] + (shift_obj(p, self.objects[0], 1),)
+        ends = [o.summands for o in self.objects]
+        ends.append(tuple(q + p.period for q in ends[0]))
         for k, mor in enumerate(self.maps):
-            if mor.params != p:
+            if mor.params is not p and mor.params != p:
                 raise ShapeMismatch("angle maps live over different parameters")
-            if mor.source != self.objects[k] or mor.target != targets[k]:
+            if mor.source.summands != ends[k] or mor.target.summands != ends[k + 1]:
                 raise ShapeMismatch(f"map {k} does not match the object chain")
         maps, zero = self.maps, [m.is_zero for m in self.maps]
         for k in range(n - 1):
@@ -103,7 +107,7 @@ def _contractible(params: FamilyParams, y: SumObject, k: int, c=1):
     cid = tuple(tuple(c if i == j else _ZERO for j in range(len(y))) for i in range(len(y)))
     maps = tuple(
         Morphism(params, y, y, cid) if s == k
-        else zero if src == tgt == ZERO_OBJ
+        else zero if not (src.summands or tgt.summands)
         else zero_mor(params, src, tgt)
         for s, (src, tgt) in enumerate(zip(objects, targets))
     )

@@ -103,8 +103,9 @@ def ar_angle_in(spec: SubcatSpec, pos: int) -> Angle:
 
 def _same_params(spec: SubcatSpec, params: FamilyParams) -> None:
     """The gate of every checker: a map or an angle over other parameters than
-    the spec's has no verdict, so ShapeMismatch."""
-    if spec.params != params:
+    the spec's has no verdict, so ShapeMismatch.  The record is compared by
+    identity first, by equality only when it is another object."""
+    if spec.params is not params and spec.params != params:
         raise ShapeMismatch("spec and checked map or angle live over different parameters")
 
 

@@ -19,6 +19,7 @@ Everything downstream (angles, covers, AR theory) reduces to this distance
 rule plus exact linear algebra over the rationals.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -180,17 +181,29 @@ def _check_cells(params, src, tgt, ents) -> bool:
     if type(ents) is not tuple:
         return False
     ncols, lmax = len(src), params.l - 1
-    for i, (y, row) in enumerate(zip(tgt, ents)):
+    for y, row in zip(tgt, ents):
         if type(row) is not tuple:
             return False
         if len(row) != ncols:
             raise ShapeMismatch(f"entry matrix must be {len(tgt)} x {ncols}")
-        for j, (x, e) in enumerate(zip(src, row)):
+        for x, e in zip(src, row):
             if type(e) is not Fraction:
                 return False
             if not 0 <= y - x <= lmax and e:
-                raise ShapeMismatch(f"entry ({i}, {j}) nonzero but Hom({x} -> {y}) = 0")
+                raise _support_violation(lmax, src, tgt, ents)
     return True
+
+
+def _support_violation(lmax: int, src, tgt, ents) -> ShapeMismatch:
+    """The error at the first nonzero cell, in row-major order, whose Hom
+    space vanishes; every cell before it has passed `_check_cells`."""
+    i, j = next(
+        (i, j)
+        for i, (y, row) in enumerate(zip(tgt, ents))
+        for j, (x, e) in enumerate(zip(src, row))
+        if e and not 0 <= y - x <= lmax
+    )
+    return ShapeMismatch(f"entry ({i}, {j}) nonzero but Hom({src[j]} -> {tgt[i]}) = 0")
 
 
 @dataclass(frozen=True)
@@ -235,7 +248,7 @@ def zero_mor(params: FamilyParams, source: SumObject, target: SumObject) -> Morp
 
 
 def _eye(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
+    return tuple((_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - 1 - i) for i in range(n))
 
 
 def identity_mor(params: FamilyParams, obj: SumObject) -> Morphism:
@@ -264,27 +277,30 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 
     The product of two basis morphisms survives exactly when the total
     distance stays below l, so the matrix product is masked by the support
-    rule of the composite; only nonzero products are summed.
+    rule of the composite: row z keeps the source summands in [z - l + 1, z].
+    A kept cell sums its nonzero products in integers, as one numerator over
+    the product of their denominators, and becomes one Fraction; a cell
+    outside the mask, or whose products cancel, is the shared zero.
     """
-    if f.params != g.params:
+    p = f.params
+    if g.params is not p and g.params != p:
         raise ShapeMismatch("morphisms live over different parameters")
-    if f.target != g.source:
+    if f.target.summands != g.source.summands:
         raise ShapeMismatch("compose needs target(f) = source(g)")
-    lmax = f.params.l - 1
-    fents = f.entries
+    src, lmax, fents = f.source.summands, p.l - 1, f.entries
     ents = []
     for z, grow in zip(g.target.summands, g.entries):
-        row = []
-        for j, x in enumerate(f.source.summands):
-            if 0 <= z - x <= lmax:
-                row.append(sum(
-                    (gk * frow[j] for gk, frow in zip(grow, fents) if gk and frow[j]),
-                    _ZERO,
-                ))
-            else:
-                row.append(_ZERO)
+        row = [_ZERO] * len(src)
+        for j in range(bisect_left(src, z - lmax), bisect_right(src, z)):
+            num, den = 0, 1
+            for a, frow in zip(grow, fents):
+                (an, ad), (bn, bd) = a.as_integer_ratio(), frow[j].as_integer_ratio()
+                if an and bn:
+                    num, den = num * ad * bd + an * bn * den, den * ad * bd
+            if num:
+                row[j] = Fraction(num, den)
         ents.append(tuple(row))
-    return Morphism(f.params, f.source, g.target, tuple(ents))
+    return Morphism(p, f.source, g.target, tuple(ents))
 
 
 def shift_obj(params: FamilyParams, obj: SumObject, r: int) -> SumObject:
@@ -350,13 +366,15 @@ def _right_column(f: Morphism, q: int):
 
     The unknowns are the cells k of that column of g that the distance rule
     keeps (0 <= src_k - q <= l - 1) and the equations the cells i of that
-    column of f o g it keeps (0 <= tgt_i - q <= l - 1).  Returns the
-    unknowns, the equations and the coefficient rows.
+    column of f o g it keeps (0 <= tgt_i - q <= l - 1); both are windows of
+    the sorted summands, found by bisection.  Returns the unknowns, the
+    equations and the coefficient rows.
     """
-    lmax = f.params.l - 1
-    ks = [k for k, x in enumerate(f.source.summands) if 0 <= x - q <= lmax]
-    eqs = [i for i, y in enumerate(f.target.summands) if 0 <= y - q <= lmax]
-    return ks, eqs, [[f.entries[i][k] for k in ks] for i in eqs]
+    top = q + f.params.l - 1
+    src, tgt = f.source.summands, f.target.summands
+    ks = range(bisect_left(src, q), bisect_right(src, top))
+    eqs = range(bisect_left(tgt, q), bisect_right(tgt, top))
+    return ks, eqs, [f.entries[i][ks.start:ks.stop] for i in eqs]
 
 
 def _right_solve(f: Morphism, a: SumObject, rhs):
@@ -383,13 +401,15 @@ def _left_solve(f: Morphism, c: SumObject, rhs):
     The mirror of `_right_solve`: row i of g o f reads only row i of g, so
     the system is one small system per row, at position q = c_i, over the
     cells k with 0 <= q - tgt_k <= l - 1 and the equations j with
-    0 <= q - src_j <= l - 1.
+    0 <= q - src_j <= l - 1, both windows of the sorted summands found by
+    bisection.
     """
     lmax = f.params.l - 1
+    src, tgt = f.source.summands, f.target.summands
     ents = []
     for i, q in enumerate(c.summands):
-        ks = [k for k, x in enumerate(f.target.summands) if 0 <= q - x <= lmax]
-        eqs = [j for j, y in enumerate(f.source.summands) if 0 <= q - y <= lmax]
+        ks = range(bisect_left(tgt, q - lmax), bisect_right(tgt, q))
+        eqs = range(bisect_left(src, q - lmax), bisect_right(src, q))
         rows = [[f.entries[k][j] for k in ks] for j in eqs]
         sol = linalg.solve(rows, [rhs[i][j] for j in eqs], len(ks))
         if sol is None:

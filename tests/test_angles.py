@@ -10,6 +10,7 @@ import pytest
 from angulated import (
     Angle,
     BadDistance,
+    FamilyParams,
     Morphism,
     ShapeMismatch,
     SumObject,
@@ -288,10 +289,11 @@ class TestExtend:
         # The 100 `exactness` requests of the query-session gate seed, each
         # a connector and its `extend`.  Per call: the connector and its two
         # objects; d new middle objects and shift(target, -1); the d+1 maps
-        # before the connector; shift(object 0, 1) for Angle validation; and
-        # one composite per consecutive pair of nonzero maps.  Only when map
-        # 0 and the connector are both nonzero, the shifted connector (three
-        # objects) and the wrap composite.
+        # before the connector; and one composite per consecutive pair of
+        # nonzero maps.  Only when map 0 and the connector are both nonzero,
+        # the shifted connector (three objects) and the wrap composite.
+        # Angle validation checks the wrap-around target on positions, so it
+        # builds no shift(object 0, 1).
         requests = _gate_exactness_requests()
         assert len(requests) == 100
         built = {Morphism: 0, SumObject: 0}
@@ -313,9 +315,9 @@ class TestExtend:
             pairs = sum(f and g for f, g in zip(nonzero, nonzero[1:]))
             wrap = nonzero[0] and nonzero[-1]
             want[0] += a.params.d + 2 + pairs + 2 * wrap
-            want[1] += a.params.d + 4 + 2 * wrap
+            want[1] += a.params.d + 3 + 2 * wrap
         assert [built[Morphism], built[SumObject]] == want
-        assert (built[Morphism], built[SumObject]) == (1318, 1040)
+        assert (built[Morphism], built[SumObject]) == (1318, 940)
 
 
 class TestWindowChains:
@@ -608,3 +610,18 @@ class TestValidationComposites:
     def test_verify_ar_builds_only_composites_of_nonzero_maps(self, p449, composites):
         assert all(c.ok for c in verify_ar(p449))
         assert composites[0] == 1152
+
+    def test_min_angle_compares_no_object_or_record(self, p449, monkeypatch):
+        # validation and its composites compare position tuples, and the
+        # parameter record by identity, so no dataclass equality runs
+        calls = {SumObject: 0, FamilyParams: 0}
+        for cls in calls:
+            def counting(self, other, cls=cls, eq=cls.__eq__):
+                calls[cls] += 1
+                return eq(self, other)
+
+            monkeypatch.setattr(cls, "__eq__", counting)
+        mu = basis_mor(p449, 1, 3)
+        a = min_angle(mu)
+        assert calls == {SumObject: 0, FamilyParams: 0}
+        assert a.objects[0] == indec(-7) and calls[SumObject] == 1  # the counter counts

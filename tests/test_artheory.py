@@ -4,6 +4,7 @@ import pytest
 
 from angulated import (
     Angle,
+    FamilyParams,
     Morphism,
     NotMember,
     NotWide,
@@ -15,6 +16,7 @@ from angulated import (
     ar_angle_in,
     basis_mor,
     check_hom_exactness,
+    compose,
     cover,
     empty_spec,
     enumerate_wide,
@@ -30,6 +32,7 @@ from angulated import (
     is_right_almost_split,
     is_right_minimal,
     join_pos,
+    min_angle,
     rotate_left,
     shift_angle,
     theorem_b_check,
@@ -251,6 +254,56 @@ class TestOtherParameters:
     def test_ar_angle(self, p449, p223):
         with pytest.raises(ShapeMismatch):
             is_ar_angle(full_spec(p449), ar_angle(p223, 3))
+
+
+
+class TestEqualParameterRecords:
+    """Parameter records are compared by identity first and by equality
+    after, so an equal record built separately is accepted, and a record
+    of another triple is still rejected with the same message."""
+
+    @staticmethod
+    def _over(params, mor):
+        return Morphism(params, mor.source, mor.target, mor.entries)
+
+    @pytest.mark.parametrize("triple, message", [
+        ((4, 4, 9), None), ((2, 2, 3), "angle maps live over different parameters"),
+    ])
+    def test_angle(self, p449, triple, message):
+        # map 0 of the minimal angle on u(f1 -> f2) is u(-7 -> -6), a valid
+        # matrix over both triples
+        a = min_angle(basis_mor(p449, 1, 2))
+        maps = (self._over(FamilyParams(*triple), a.maps[0]),) + a.maps[1:]
+        if message is None:
+            assert Angle(p449, a.objects, maps).maps == a.maps
+            assert Angle(FamilyParams(4, 4, 9), a.objects, a.maps).objects == a.objects
+            return
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            Angle(p449, a.objects, maps)
+
+    @pytest.mark.parametrize("triple, message", [
+        ((4, 4, 9), None), ((2, 2, 3), "morphisms live over different parameters"),
+    ])
+    def test_composite(self, p449, triple, message):
+        g = basis_mor(FamilyParams(*triple), 2, 3)
+        if message is None:
+            assert compose(g, basis_mor(p449, 1, 2)) == basis_mor(p449, 1, 3)
+            return
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            compose(g, basis_mor(p449, 1, 2))
+
+    @pytest.mark.parametrize("triple, message", [
+        ((4, 4, 9), None),
+        ((2, 2, 3), "spec and checked map or angle live over different parameters"),
+    ])
+    def test_is_cover(self, p449, triple, message):
+        spec = SubcatSpec(p449, SINGLE_CLASS)
+        xi = self._over(FamilyParams(*triple), cover(spec, 2).mor)  # u(f1 -> f2)
+        if message is None:
+            assert is_cover(spec, xi)
+            return
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            is_cover(spec, xi)
 
 
 class TestRightMinimal:

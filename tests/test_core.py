@@ -347,21 +347,51 @@ class TestMorphismValidation:
             )
 
     def test_support_rule_on_both_paths(self, p449):
-        # Fraction tuples are kept as given; ints and lists are converted
+        # Fraction tuples are kept as given; ints and lists are converted.
+        # l = 4, so Hom(x -> y) != 0 iff 0 <= y - x <= 3
+        one, f5 = Fraction(1), indec(5)
         pair = SumObject((5, 1))  # sorted to (1, 5); Hom(1 -> 5) = 0
-        for src, ents, cell in (
-            (indec(1), ((Fraction(1),),), "(0, 0)"),
-            (indec(1), ((1,),), "(0, 0)"),
-            (indec(1), [[1]], "(0, 0)"),
-            (pair, ((Fraction(0), Fraction(1)),), None),
-            (pair, ((Fraction(1), Fraction(1)),), "(0, 0)"),
-            (pair, ((2, 0),), "(0, 0)"),
+        for src, tgt, ents, cell in (
+            (indec(1), f5, ((one,),), (0, 0)),
+            (indec(1), f5, ((1,),), (0, 0)),
+            (indec(1), f5, [[1]], (0, 0)),
+            (pair, f5, ((Fraction(0), one),), None),
+            (pair, f5, ((one, one),), (0, 0)),
+            (pair, f5, ((2, 0),), (0, 0)),
+            (SumObject((5, 9)), f5, ((one, one),), (0, 1)),  # Hom(9 -> 5) = 0
+            (SumObject((5, 9)), f5, [[1, 1]], (0, 1)),
+            (indec(1), SumObject((3, 5)), ((one,), (one,)), (1, 0)),  # two equal rows
+            (indec(1), SumObject((3, 5)), [[1], [1]], (1, 0)),
         ):
             if cell is None:
-                Morphism(p449, src, indec(5), ents)  # only the allowed cell is set
+                Morphism(p449, src, tgt, ents)  # only the allowed cell is set
                 continue
-            with pytest.raises(ShapeMismatch, match=re.escape(f"entry {cell}")):
-                Morphism(p449, src, indec(5), ents)
+            i, j = cell
+            x, y = src.summands[j], tgt.summands[i]
+            want = f"entry ({i}, {j}) nonzero but Hom({x} -> {y}) = 0"
+            with pytest.raises(ShapeMismatch, match=f"^{re.escape(want)}$"):
+                Morphism(p449, src, tgt, ents)
+
+    def test_first_failing_cell_decides_the_error(self, p449):
+        # Cells are scanned row by row: an inexact cell raises TypeError and
+        # a nonzero cell whose Hom space vanishes ShapeMismatch, whichever
+        # comes first.  An int cell is exact, so it is converted and the
+        # violation after it still raises ShapeMismatch.  Over (3, 9) ->
+        # (5, 9), only the cells (0, 0) and (1, 1) may be nonzero; at one
+        # cell the type is checked first.
+        one, sq = Fraction(1), SumObject((3, 9))
+        for tgt, ents, error, cell in (
+            ((5,), ((0.5, one),), TypeError, "(0, 0)"),
+            ((5,), ((2, one),), ShapeMismatch, "(0, 1)"),
+            ((5, 9), ((0.5, 0), (one, one)), TypeError, "(0, 0)"),
+            ((5, 9), ((one, one), (0, 0.5)), ShapeMismatch, "(0, 1)"),
+            ((5, 9), ((one, Fraction(0)), (0.5, one)), TypeError, "(1, 0)"),  # type first
+        ):
+            with pytest.raises(error, match=re.escape(f"entry {cell}")):
+                Morphism(p449, sq, SumObject(tgt), ents)
+        # within one row: the violation at (0, 0) comes before the float
+        with pytest.raises(ShapeMismatch, match=re.escape("entry (0, 0)")):
+            Morphism(p449, SumObject((1, 3, 5)), indec(5), ((one, 0.5, one),))
 
     def test_inexact_entries_rejected(self, p449):
         from decimal import Decimal

@@ -92,9 +92,9 @@ def _draw_sum(data, p):
     return SumObject(tuple(positions))
 
 
-def _draw_mor(data, p, src, tgt):
+def _draw_mor(data, p, src, tgt, values=rationals_st):
     ents = tuple(
-        tuple(data.draw(rationals_st) if hom_dim(p, x, y) else 0 for x in src.summands)
+        tuple(data.draw(values) if hom_dim(p, x, y) else 0 for x in src.summands)
         for y in tgt.summands
     )
     return Morphism(p, src, tgt, ents)
@@ -103,8 +103,30 @@ def _draw_mor(data, p, src, tgt):
 @settings(deadline=None)
 @given(small_params_st, st.data())
 def test_compose_is_the_masked_matrix_product(p, data):
-    a, b, c = (_draw_sum(data, p) for _ in range(3))
-    f, g = _draw_mor(data, p, a, b), _draw_mor(data, p, b, c)
+    # Entries have denominators up to 12, and one cell is forced to cancel:
+    # x0 in a, y1 and y2 in b and z0 = x0 + t in c, with x0 <= y1, y2 <= z0
+    # and t <= l - 1, so both products through y1 and y2 survive the mask;
+    # f's column at x0 is nonzero only at y1 and y2, and the two products
+    # at (z0, x0) are nonzero and sum to zero.
+    values = st.fractions(-3, 3, max_denominator=12)
+    nonzero = values.filter(bool)
+    x0, t = data.draw(st.integers(0, p.l)), data.draw(st.integers(0, p.l - 1))
+    y1, y2 = (x0 + data.draw(st.integers(0, t)) for _ in range(2))
+    a, b, c = (
+        SumObject(_draw_sum(data, p).summands + forced)
+        for forced in ((x0,), (y1, y2), (x0 + t,))
+    )
+    ia, iz = a.summands.index(x0), c.summands.index(x0 + t)
+    k1 = b.summands.index(y1)
+    k2 = b.summands.index(y2, k1 + 1 if y2 == y1 else 0)
+    fents = [list(row) for row in _draw_mor(data, p, a, b, values).entries]
+    gents = [list(row) for row in _draw_mor(data, p, b, c, values).entries]
+    g1, g2, f1 = (data.draw(nonzero) for _ in range(3))
+    gents[iz][k1], gents[iz][k2] = g1, g2
+    for row in fents:
+        row[ia] = 0
+    fents[k1][ia], fents[k2][ia] = f1, -g1 * f1 / g2
+    f, g = Morphism(p, a, b, fents), Morphism(p, b, c, gents)
     want = tuple(
         tuple(
             sum((g.entries[i][k] * f.entries[k][j] for k in range(len(b))), Fraction(0))
@@ -113,7 +135,10 @@ def test_compose_is_the_masked_matrix_product(p, data):
         )
         for i, z in enumerate(c.summands)
     )
-    assert compose(g, f).entries == want
+    got = compose(g, f).entries
+    assert got == want
+    assert got[iz][ia] == 0
+    assert all(type(e) is Fraction for row in got for e in row)
 
 
 @given(params_st, st.integers(-10 ** 6, 10 ** 6))
