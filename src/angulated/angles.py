@@ -391,14 +391,16 @@ def _exact_in_f(params: FamilyParams, objects, maps, first: int, slots: range) -
     """Hom(t, -) leaves the complex exact at `slots` for the period of test
     vertices t from `first` on; maps over other parameters, or not from
     object k to object k + 1, raise."""
-    if any(m.params != params for m in maps):
+    if any(m.params is not params and m.params != params for m in maps):
         raise ShapeMismatch("chain maps live over different parameters")
+    ends = [o.summands for o in objects]
     if len(maps) != len(objects) - 1 or any(
-        m.source != a or m.target != b for m, a, b in zip(maps, objects, objects[1:])
+        m.source.summands != a or m.target.summands != b
+        for m, a, b in zip(maps, ends, ends[1:])
     ):
         raise ShapeMismatch("map k of a chain must go from object k to object k + 1")
     return not _inexact_windows(
-        [o.summands for o in objects], [m.entries for m in maps], params.l,
+        ends, [m.entries for m in maps], params.l,
         range(first, first + params.period), slots,
     )
 

@@ -75,7 +75,7 @@ def _is_shift(b: Angle, a: Angle, r: int) -> bool:
     the objects, and a shift moves positions by r periods, keeping entries."""
     off = r * a.params.period
     return (
-        b.params == a.params
+        (b.params is a.params or b.params == a.params)
         and all(y.summands == tuple(q + off for q in x.summands)
                 for x, y in zip(a.objects, b.objects))
         and all(g.entries == f.entries for f, g in zip(a.maps, b.maps))
@@ -206,15 +206,10 @@ def verify_angles(params: FamilyParams) -> list[Check]:
 def verify_ar(params: FamilyParams) -> list[Check]:
     per, d = params.period, params.d
     full = wide.full_spec(params)
-    ambient = {}  # this call's AR angles: listed once, reused by its Theorem-B checks
-
-    def ambient_angles():
-        ambient.update((pos, artheory.ar_angle(params, pos)) for pos in range(1, per + 1))
-        return ambient.items()
 
     def pair(case):
         spec, pos = case
-        report = artheory._theorem_b(spec, pos, ambient[pos])
+        report = artheory.theorem_b_check(spec, pos)
         sub = report.sub_angle
         # connecting map spans the one-dimensional Hom into the shifted head
         head, tail = sub.objects[0].summands[0], sub.objects[-1].summands[0]
@@ -222,13 +217,13 @@ def verify_ar(params: FamilyParams) -> list[Check]:
             report.sub_is_ar and not sub.connecting.is_zero
             and _is_shift(artheory.ar_angle_in(spec, pos + per), sub, 1),
             len(report.cover_result.source) <= 1 and report.cover_is_cover
-            and artheory.cover(spec, pos).source == indec(pos),  # a member covers itself
+            and artheory.cover(spec, pos).source.summands == (pos,),  # a member covers itself
             report.ok,
             hom_dim(params, tail, head + per) == 1,
         )
 
     return _run(
-        ambient_angles,
+        lambda: ((pos, artheory.ar_angle(params, pos)) for pos in range(1, per + 1)),
         lambda case: (
             check_hom_exactness(a := case[1]).ok
             and artheory.is_right_almost_split(full, a.maps[d])

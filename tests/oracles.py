@@ -23,7 +23,8 @@ connectors that `extend` is tested on, from drawn pairs,
 block angles summed slot-wise, then permuted back onto the connector.
 `with_map_zeroed` spoils an angle so that the exactness tests see failures
 too.  `angle_composite_failure` is `Angle`'s composite check with every
-composite built, a zero factor or not.
+composite built, a zero factor or not.  `admissible` lists the triples
+that sweeps run at, from the definition rather than `validate_params`.
 """
 
 from angulated import (
@@ -67,6 +68,17 @@ def path_hom_dim(params, x, y):
         if vertex < y:
             stack.append((vertex + 1, steps + 1))
     return count
+
+
+def admissible(max_period):
+    """The admissible triples (d, l, m), d even >= 2, l >= 2 and
+    m = dl/2 + 1, whose period l(d + 2)/2 is at most `max_period`, in order
+    of period and then of d."""
+    return sorted(
+        ((d, l, d * l // 2 + 1) for d in range(2, max_period, 2)
+         for l in range(2, 2 * max_period // (d + 2) + 1)),
+        key=lambda t: (t[1] * (t[0] + 2) // 2, t[0]),
+    )
 
 
 def add_mor(a, b):

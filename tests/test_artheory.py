@@ -409,6 +409,15 @@ class TestIsArAngle:
         assert is_left_almost_split(full, b.maps[0])
         assert not is_ar_angle(full, b)
 
+    def test_fails_at_map_0_alone(self, p449):
+        # the mirror: map 0 replaced by zero, map d is still right almost
+        # split, but no map out of the start extends along zero
+        a, d, full = ar_angle(p449, 5), p449.d, full_spec(p449)
+        zero = zero_mor(p449, a.objects[0], a.objects[1])
+        b = Angle(p449, a.objects, (zero,) + a.maps[1:])
+        assert is_right_almost_split(full, b.maps[d])
+        assert not is_ar_angle(full, b)
+
 
 class TestTheoremB:
     def test_periodic_golden_case(self, p449):
@@ -422,7 +431,7 @@ class TestTheoremB:
         for pos in range(1, p449.period + 1):
             report = theorem_b_check(full_spec(p449), pos)
             assert report.ok
-            assert report.sub_angle == report.ambient
+            assert report.sub_angle == ar_angle(p449, pos)
 
     def test_degenerate_branch(self, p449):
         report = theorem_b_check(SubcatSpec(p449, SINGLE_CLASS), 9)

@@ -12,7 +12,9 @@ statement: `python -O` strips them, so no invariant may live only in one.
 The one handler in the package that catches `Exception`, `BaseException`
 or everything is the check runner of `verify`, which turns a raise into a
 failed check; a broad catch anywhere else would hide the defects that the
-oracles exist to find.
+oracles exist to find.  The oracle layer (`verify`) and the CLI use only
+the public names of the other package modules, so an oracle cannot lean on
+the internals of the construction it checks.
 """
 
 import ast
@@ -215,3 +217,44 @@ def test_one_broad_catch_in_the_package_in_the_verify_runner():
         (path.name, where) for path in PACKAGE for where, _ in broad_catches(path.read_text())
     ]
     assert found == [("verify.py", "_run")]
+
+
+PUBLIC_ONLY = ("verify.py", "cli.py")
+
+
+def private_names_used(source: str) -> list[str]:
+    """`module._name` for each `from .module import _name` and each read of
+    `_name` on a package module bound by `from . import module`, in line
+    order; dunder names are not private."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name: a.name for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom) and n.level and n.module is None
+               for a in n.names}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            found += [(node.lineno, f"{node.module}.{a.name}") for a in node.names
+                      if a.name.startswith("_") and not a.name.startswith("__")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules
+              and node.attr.startswith("_") and not node.attr.startswith("__")):
+            found.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_checker_flags_a_private_name_of_another_module():
+    src = ("from . import artheory, wide as w\nfrom .angles import Angle, _min_positions\n"
+           "from .core import __all__\n\ndef f(spec):\n    spec._cache\n"
+           "    artheory.cover(spec)\n    report = artheory._theorem_b(spec)\n"
+           "    w._scan(report)\n    return artheory.__name__\n")
+    assert private_names_used(src) == [
+        "angles._min_positions (line 2)", "artheory._theorem_b (line 8)", "wide._scan (line 9)",
+    ]
+
+
+def test_oracles_and_cli_use_public_names_only():
+    found = {
+        name: used for name in PUBLIC_ONLY
+        if (used := private_names_used((ROOT / "src" / "angulated" / name).read_text()))
+    }
+    assert found == {}

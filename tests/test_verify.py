@@ -28,7 +28,7 @@ from angulated import (
 )
 from angulated.core import is_split_epi, is_split_mono, scale
 
-from oracles import path_hom_dim
+from oracles import admissible, path_hom_dim
 
 AMBIENT = "ambient AR angles pass all oracle tests"
 MINIMAL = "minimal angles: shape, radical middles, equivariance"
@@ -229,6 +229,17 @@ def test_a_wrong_shifted_ar_angle_fails_exactly_its_check(monkeypatch, p234, nam
     assert {c.name for c in verify.verify_all(p234) if not c.ok} == failing
 
 
+def test_a_wrong_ambient_head_fails_exactly_the_theorem_b_check(monkeypatch, p449):
+    # the head read one position low: each cover is still a cover of its
+    # vertex and each subcategory angle still an AR angle, but an angle
+    # ending at a member whose head is a member does not start at the cover
+    original = artheory._min_positions
+    monkeypatch.setattr(
+        artheory, "_min_positions", lambda p, x, y: [q - 1 for q in original(p, x, y)]
+    )
+    assert {c.name for c in verify.verify_all(p449) if not c.ok} == {THEOREM_B}
+
+
 def _second_object_moved(a):
     """`a` with objects[1] moved one position and maps 0 and 1 following it.
 
@@ -296,7 +307,7 @@ def test_ar_suite_asks_each_oracle_once_per_member(monkeypatch, p449):
     assert pairs == 168
     # ar_angle_in runs at pos (inside the Theorem-B check) and at pos +
     # period; ar_angle runs once per window position and once per shifted
-    # copy, and the Theorem-B checks reuse the window's angles
+    # copy, and the Theorem-B checks build none
     assert calls == {
         "is_ar_angle": pairs,
         "is_cover": pairs,
@@ -322,6 +333,15 @@ def _enumeration_raising(params):
     raise InternalError("planted")
 
 
+_ar_angle = artheory.ar_angle
+
+
+def _ar_angle_raising_at_f5(params, pos):
+    if pos == 5:
+        raise InternalError("planted")
+    return _ar_angle(params, pos)
+
+
 # Planted defects that raise inside a suite, as (owner, name, replacement,
 # failing): at (4,4,9) each fails exactly the checks in `failing`, with the
 # detail given there.  A raise names its first case and the exception
@@ -345,6 +365,10 @@ RAISING_PLANTS = {
         wide, "enumerate_wide", _enumeration_raising,
         dict.fromkeys(PAIRS + (ENUM, ORACLE, ROUND_TRIP, EDGES), "case list: InternalError"),
     ),
+    # the ambient angles are listed as cases, and no Theorem-B check needs one
+    "ar-angle-raises-at-f5": (
+        artheory, "ar_angle", _ar_angle_raising_at_f5, {AMBIENT: "case list: InternalError"},
+    ),
 }
 
 
@@ -353,3 +377,20 @@ def test_a_raising_plant_fails_exactly_its_checks(monkeypatch, p449, plant):
     owner, name, replacement, failing = RAISING_PLANTS[plant]
     monkeypatch.setattr(owner, name, replacement)
     assert {c.name: c.detail for c in verify.verify_all(p449) if not c.ok} == failing
+
+
+def test_admissible_lists_the_triples_by_period():
+    triples = admissible(12)
+    assert [t[:2] for t in triples] == [
+        (2, 2), (2, 3), (4, 2), (2, 4), (6, 2), (4, 3),
+        (2, 5), (8, 2), (2, 6), (4, 4), (6, 3), (10, 2),
+    ]
+    assert len(admissible(18)) == 23
+
+
+def test_verify_all_passes_at_every_admissible_triple_up_to_period_12():
+    failed = {
+        triple: names for triple in admissible(12)
+        if (names := [c.name for c in verify.verify_all(validate_params(*triple)) if not c.ok])
+    }
+    assert failed == {}
