@@ -9,17 +9,18 @@ d+1 gaps alternate between D and l - D and the total span is m - 1 + D.
 The oracle `check_hom_exactness` never looks at how an angle was built: it
 applies every covariant Hom functor from a window of test vertices to the
 angle extended by one period on each side and verifies exactness of the
-resulting rational complexes by rank counting.  Hom(t, -) keeps the
-positions [t, t+l-1]; Hom(-, t) keeps the window of Hom(t-l+1, -), reversed
-and transposed, which changes no rank and no vanishing composite, so it
-fails exactly where Hom(t-l+1, -) does.  One kernel with one window family
-thus tests both functors, the contravariant one at test vertices moved by
--(l-1), and `check_hom_exactness` also decides contravariant exactness.  F
-keeps both tests: its test vertices are only f_1..f_period, and the
-d-kernel test covers every slot but the last, the d-cokernel test every
-slot but the first.  The kernel sweeps all test vertices of a call at
-once, in runs of t whose windows keep the same summands, so its work
-follows the summands, not the span.
+resulting rational complexes by rank counting; one copy is swept and its
+failures repeat every period.  Hom(t, -) keeps the positions [t, t+l-1];
+Hom(-, t) keeps the window of Hom(t-l+1, -), reversed and transposed,
+which changes no rank and no vanishing composite, so it fails exactly
+where Hom(t-l+1, -) does.  One kernel with one window family thus tests
+both functors, the contravariant one at test vertices moved by -(l-1),
+and `check_hom_exactness` also decides contravariant exactness.  F keeps
+both tests: its test vertices are only f_1..f_period, and the d-kernel
+test covers every slot but the last, the d-cokernel test every slot but
+the first.  The kernel sweeps all test vertices of a call at once, in runs
+of t whose windows keep the same summands, so its work follows the
+summands, not the span.
 """
 
 from bisect import bisect_left, bisect_right
@@ -407,7 +408,7 @@ def _exact_in_f(params: FamilyParams, objects, maps, first: int, slots: range) -
 
 def check_d_kernel(chain: FLevelChain, mu: Morphism) -> bool:
     """Definition-level test: 0 -> chain -> target(mu) exact under Hom(f_t, -)."""
-    if chain.objects[-1] != mu.source:
+    if chain.objects[-1].summands != mu.source.summands:
         raise ShapeMismatch("chain must end at the source of mu")
     objects, maps = chain.objects + (mu.target,), chain.maps + (mu,)
     return _exact_in_f(chain.params, objects, maps, 1, range(len(objects) - 1))
@@ -417,7 +418,7 @@ def check_d_cokernel(chain: FLevelChain, mu: Morphism) -> bool:
     """Dual test: source(mu) -> chain -> 0 exact under Hom(-, f_t), which
     fails where Hom(t - l + 1, -) does."""
     p = chain.params
-    if chain.objects[0] != mu.target:
+    if chain.objects[0].summands != mu.target.summands:
         raise ShapeMismatch("chain must start at the target of mu")
     objects, maps = (mu.source,) + chain.objects, (mu,) + chain.maps
     return _exact_in_f(p, objects, maps, 2 - p.l, range(1, len(objects)))
@@ -434,7 +435,8 @@ def check_d_exact(chain: FLevelChain) -> bool:
 
 @dataclass(frozen=True)
 class ExactnessReport:
-    """Outcome of the Hom-exactness oracle; failures are (vertex, slot) pairs."""
+    """Outcome of the Hom-exactness oracle; failures are (vertex, slot) pairs,
+    slots indexing the angle extended to 3(d+2) objects (its own: d+2..2d+3)."""
 
     ok: bool
     failures: tuple[tuple[int, int], ...]
@@ -443,32 +445,35 @@ class ExactnessReport:
 def check_hom_exactness(a: Angle) -> ExactnessReport:
     """Brute-force exactness of every induced Hom sequence across the angle.
 
-    The angle is extended by one period on each side: its summand
-    positions shifted by -1, 0 and +1 periods, glued by its own entry
-    matrices (a shift leaves entries unchanged), so no shifted object or
-    Morphism is built.  Every covariant Hom functor from a test vertex t,
-    the window [t, t+l-1], is applied.  Hom spaces vanish beyond distance
-    l - 1, so test vertices ranging over [min position - period - l + 1,
-    max position + period] see every nonzero entry of the infinite
-    sequence; exactness is checked at each interior slot of the extended
-    complex.  All of them go through one sweep of the kernel: runs of t
-    whose window keeps the same summands are tested once, runs with no
-    summand cost nothing, and the three period copies share their entry
-    matrices and so the ranks of their cuts.  Hom(-, t) fails exactly
-    where Hom(t - l + 1, -) does, so this also decides the contravariant
-    exactness of the angle, at the failures' t moved by l - 1.
+    The angle is extended by one period on each side, 3(d+2) objects glued
+    by its own entry matrices (a shift leaves entries unchanged), so no
+    shifted object or Morphism is built.  Every covariant Hom functor from
+    a test vertex t, the window [t, t+l-1], is applied.  Exactness at slot
+    s reads objects s-1, s and s+1 only, and moving t by a period and s by
+    d+2 gives the same cut matrices, so one copy is swept: the middle one,
+    slots d+2 to 2d+3, between the last object moved back a period and the
+    first moved on one, at the test vertices [min position - l + 1, max
+    position] whose windows meet it.  Its failures repeat every period: each
+    (t, s) is reported at t + r*period and slot s + r*(d+2), r in -1, 0, 1,
+    wherever that slot is interior, in the order of t, then of the slot.
+    The connector at both ends shares the ranks of its cuts.  Hom(-, t)
+    fails exactly where Hom(t - l + 1, -) does, so this also decides the
+    contravariant exactness of the angle, at the failures' t moved by l - 1.
     """
-    p = a.params
-    positions = [q for o in a.objects for q in o.summands]
+    p, n = a.params, a.params.d + 2
+    ends = [o.summands for o in a.objects]
+    positions = [q for qs in ends for q in qs]
     if not positions:
         return ExactnessReport(True, ())
-    summands = [
-        tuple(q + r * p.period for q in o.summands) for r in (-1, 0, 1) for o in a.objects
-    ]
-    entries = ([m.entries for m in a.maps] * 3)[:-1]
-    failures = _inexact_windows(
-        summands, entries, p.l,
-        range(min(positions) - p.period - p.l + 1, max(positions) + p.period + 1),
-        range(1, len(summands) - 1),
+    conn = a.maps[-1].entries
+    middle = _inexact_windows(  # local slot s is slot s - 1 + n of the extension
+        [tuple(q - p.period for q in ends[-1]), *ends, tuple(q + p.period for q in ends[0])],
+        [conn, *(m.entries for m in a.maps[:-1]), conn], p.l,
+        range(min(positions) - p.l + 1, max(positions) + 1), range(1, n + 1),
+    )
+    failures = sorted(
+        (t + r * p.period, slot)
+        for t, s in middle for r in (-1, 0, 1)
+        if 0 < (slot := s - 1 + (r + 1) * n) < 3 * n - 1
     )
     return ExactnessReport(not failures, tuple(failures))

@@ -25,6 +25,9 @@ block angles summed slot-wise, then permuted back onto the connector.
 too.  `angle_composite_failure` is `Angle`'s composite check with every
 composite built, a zero factor or not.  `admissible` lists the triples
 that sweeps run at, from the definition rather than `validate_params`.
+`ar_angle_in_reference` builds a subcategory AR angle as the angle on its
+connector, its cover found by walking the quiver, instead of the
+library's merged progressions.
 """
 
 from angulated import (
@@ -36,6 +39,7 @@ from angulated import (
     ZERO_OBJ,
     basis_mor,
     compose,
+    extend,
     identity_mor,
     indec,
     linalg,
@@ -79,6 +83,25 @@ def admissible(max_period):
          for l in range(2, 2 * max_period // (d + 2) + 1)),
         key=lambda t: (t[1] * (t[0] + 2) // 2, t[0]),
     )
+
+
+def ar_angle_in_reference(spec, pos):
+    """The subcategory AR angle ending at the member `pos`, as `extend` of
+    its connector u(pos -> w + period).
+
+    w is the cover of pos - m: the rightmost member w <= pos - m, at most
+    a period back, with Hom(w, pos - m) nonzero by walking the quiver.  An
+    angle is determined by its connector up to isomorphism, and AR angles
+    are unique up to isomorphism, so this is the same angle built another
+    way.
+    """
+    p = spec.params
+    fbar = pos - p.m
+    w = next(
+        w for w in range(fbar, fbar - p.period, -1)
+        if spec.contains_pos(w) and path_hom_dim(p, w, fbar)
+    )
+    return extend(basis_mor(p, pos, w + p.period))
 
 
 def add_mor(a, b):

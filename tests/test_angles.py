@@ -45,6 +45,7 @@ from angulated.core import scale
 from angulated.verify import verify_ar
 
 from oracles import (
+    admissible,
     angle_composite_failure,
     angle_objects,
     extend_reference,
@@ -475,9 +476,48 @@ class TestHomExactnessOracle:
         monkeypatch.setattr(linalg, "rank", counting_rank)
         assert check_hom_exactness(min_angle(basis_mor(p449, 1, 3))).ok
         assert all(r and c for r, c in shapes), "rank called on an empty matrix"
-        # every cut is one of the angle's six 1 x 1 entry matrices, which
-        # the three period copies share: each is ranked once per call
+        # every cut is one of the angle's six 1 x 1 entry matrices, the
+        # connector's shared by both ends of the swept copy: each is ranked
+        # once per call
         assert len(shapes) == 6
+
+    def test_sweeps_one_period(self, p449, monkeypatch):
+        calls = []
+        sweep = angles._inexact_windows
+
+        def spy(summands, entries, l, ts, slots):
+            calls.append((ts, slots))
+            return sweep(summands, entries, l, ts, slots)
+
+        monkeypatch.setattr(angles, "_inexact_windows", spy)
+        a = with_map_zeroed(min_angle(basis_mor(p449, 4, 6)), 2)
+        positions = [q for o in a.objects for q in o.summands]
+        assert check_hom_exactness(a).failures == hom_exactness_reference(a)
+        assert len(calls) == 1
+        ts, slots = calls[0]
+        assert len(ts) == max(positions) - min(positions) + p449.l
+        assert len(slots) == p449.d + 2
+
+    def test_zeroed_minimal_angles_match_the_reference(self):
+        # every map of every minimal angle u(1 -> 1 + D) zeroed in turn;
+        # slots 1 and 3(d+2) - 2 are where the repeated copies are cut off
+        angles_seen, edges = 0, {"first": 0, "last": 0}
+        for triple in admissible(12):
+            p = validate_params(*triple)
+            n = p.d + 2
+            for dist in range(1, p.l):
+                a = min_angle(basis_mor(p, 1, 1 + dist))
+                for k in range(n):
+                    b = with_map_zeroed(a, k)
+                    report = check_hom_exactness(b)
+                    assert report.failures == hom_exactness_reference(b), (triple, dist, k)
+                    assert not report.ok
+                    slots = {s for _, s in report.failures}
+                    edges["first"] += 1 in slots
+                    edges["last"] += 3 * n - 2 in slots
+                    angles_seen += 1
+        assert angles_seen == 142
+        assert edges == {"first": 52, "last": 52}
 
     def test_session_gate_angles_match_the_reference(self):
         # each gate angle as built, and with map n mod (d+2) zeroed; the

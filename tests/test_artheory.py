@@ -37,11 +37,14 @@ from angulated import (
     shift_angle,
     theorem_b_check,
     trivial_angle,
+    validate_params,
     zero_mor,
 )
 
 from oracles import (
+    admissible,
     angle_objects,
+    ar_angle_in_reference,
     left_almost_split_reference,
     precover_reference,
     right_almost_split_reference,
@@ -165,6 +168,22 @@ class TestArAngleIn:
                 a = ar_angle_in(sp, pos)
                 assert a.objects[0] == cover(sp, pos - p.m).source
                 assert not a.connecting.is_zero
+
+    def test_is_the_angle_on_its_connector(self):
+        # every (wide spec, member) pair at the admissible triples up to
+        # period 12, the member moved by -1, 0 and 2 periods
+        cases = 0
+        for triple in admissible(12):
+            p = validate_params(*triple)
+            for spec in enumerate_wide(p):
+                for i in spec.indices:
+                    for r in (-1, 0, 2):
+                        pos = i + r * p.period
+                        assert ar_angle_in(spec, pos) == ar_angle_in_reference(spec, pos), (
+                            triple, spec.indices, pos,
+                        )
+                        cases += 1
+        assert cases == 8313
 
 
 class TestRightAlmostSplit:
