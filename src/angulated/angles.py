@@ -36,6 +36,7 @@ from .core import (
     ShapeMismatch,
     SumObject,
     ZERO_OBJ,
+    _cells,
     _exact,
     basis_mor,
     compose,
@@ -337,9 +338,10 @@ def _inexact_windows(summands, entries, l: int, ts: range, slots: range):
     window [t, t + l - 1] of positions and sends a map to its entry matrix
     cut down to the summands in the window.  Exactness at slot s is
     rank(in) + rank(out) = dim together with out o in = 0; a slot whose
-    window space is zero is exact.  Hom(-, t) fails exactly where
-    Hom(t - l + 1, -) does, so a contravariant test passes `ts` moved by
-    -(l - 1).
+    window space is zero is exact.  out o in is `compose`'s masked product
+    `_cells`, which in one window drops no cell that could be nonzero.
+    Hom(-, t) fails exactly where Hom(t - l + 1, -) does, so a
+    contravariant test passes `ts` moved by -(l - 1).
 
     The summands of the whole chain are sorted once as (position, object,
     index), so a window keeps one slice of that list, found by two
@@ -376,12 +378,10 @@ def _inexact_windows(summands, entries, l: int, ts: range, slots: range):
             here, back, fwd = keep[s], keep.get(s - 1), keep.get(s + 1)
             r_in = rank(s - 1, here, back) if back else 0
             r_out = rank(s, fwd, here) if fwd else 0
-            if r_in + r_out != here[1] - here[0] or back and fwd and not linalg.is_zero(
-                linalg.mat_mul(
-                    _cut(entries[s], fwd, here), _cut(entries[s - 1], here, back),
-                    back[1] - back[0],
-                )
-            ):
+            if r_in + r_out != here[1] - here[0] or back and fwd and any(_cells(
+                summands[s + 1][fwd[0]:fwd[1]], _cut(entries[s], fwd, here),
+                summands[s - 1][back[0]:back[1]], _cut(entries[s - 1], here, back), l - 1,
+            )):
                 bad.append(s)
         if bad:
             failures += [(t, s) for t in range(start, stop) for s in bad]
@@ -436,10 +436,14 @@ def check_d_exact(chain: FLevelChain) -> bool:
 @dataclass(frozen=True)
 class ExactnessReport:
     """Outcome of the Hom-exactness oracle; failures are (vertex, slot) pairs,
-    slots indexing the angle extended to 3(d+2) objects (its own: d+2..2d+3)."""
+    slots indexing the angle extended to 3(d+2) objects (its own: d+2..2d+3);
+    it is ok exactly when it lists no failure."""
 
-    ok: bool
     failures: tuple[tuple[int, int], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def check_hom_exactness(a: Angle) -> ExactnessReport:
@@ -464,7 +468,7 @@ def check_hom_exactness(a: Angle) -> ExactnessReport:
     ends = [o.summands for o in a.objects]
     positions = [q for qs in ends for q in qs]
     if not positions:
-        return ExactnessReport(True, ())
+        return ExactnessReport(())
     conn = a.maps[-1].entries
     middle = _inexact_windows(  # local slot s is slot s - 1 + n of the extension
         [tuple(q - p.period for q in ends[-1]), *ends, tuple(q + p.period for q in ends[0])],
@@ -476,4 +480,4 @@ def check_hom_exactness(a: Angle) -> ExactnessReport:
         for t, s in middle for r in (-1, 0, 1)
         if 0 < (slot := s - 1 + (r + 1) * n) < 3 * n - 1
     )
-    return ExactnessReport(not failures, tuple(failures))
+    return ExactnessReport(tuple(failures))

@@ -117,21 +117,6 @@ def angle_doc(a: Angle) -> dict:
     }
 
 
-def doc_to_angle(doc: dict) -> Angle:
-    """Inverse of `angle_doc`; validates the angle on reconstruction."""
-    p = validate_params(doc["params"]["d"], doc["params"]["l"], doc["params"]["m"])
-    objects = [
-        SumObject(tuple(join_pos(p, s["shift"], s["index"]) for s in o))
-        for o in doc["objects"]
-    ]
-    targets = objects[1:] + [shift_obj(p, objects[0], 1)]
-    maps = []
-    for k, mdoc in enumerate(doc["maps"]):
-        ents = tuple(tuple(Fraction(e) for e in row) for row in mdoc["entries"])
-        maps.append(Morphism(p, objects[k], targets[k], ents))
-    return Angle(p, tuple(objects), tuple(maps))
-
-
 def chain_doc(chain: FLevelChain) -> dict:
     return {
         "params": params_doc(chain.params),

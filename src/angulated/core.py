@@ -272,25 +272,13 @@ def scale(mor: Morphism, c) -> Morphism:
     return Morphism(mor.params, mor.source, mor.target, ents)
 
 
-def compose(g: Morphism, f: Morphism) -> Morphism:
-    """Composite g after f under the structure rule u(y->z)u(x->y) = u(x->z).
-
-    The product of two basis morphisms survives exactly when the total
-    distance stays below l, so the matrix product is masked by the support
-    rule of the composite: row z keeps the source summands in [z - l + 1, z].
-    A kept cell sums its nonzero products in integers, as one numerator over
-    the product of their denominators, and becomes one Fraction; a cell
-    outside the mask, or whose products cancel, is the shared zero.
-    """
-    p = f.params
-    if g.params is not p and g.params != p:
-        raise ShapeMismatch("morphisms live over different parameters")
-    if f.target.summands != g.source.summands:
-        raise ShapeMismatch("compose needs target(f) = source(g)")
-    src, lmax, fents = f.source.summands, p.l - 1, f.entries
-    ents = []
-    for z, grow in zip(g.target.summands, g.entries):
-        row = [_ZERO] * len(src)
+def _cells(tgt, grows, src, fents, lmax: int):
+    """Nonzero cells (i, j, value) of grows * fents, rows at positions tgt
+    and columns at src, masked by the support rule of the composite: row z
+    keeps the columns in [z - lmax, z], lmax = l - 1.  A cell sums its
+    nonzero products in integers, over the product of their denominators.
+    `compose` and the Hom-exactness test share it."""
+    for i, (z, grow) in enumerate(zip(tgt, grows)):
         for j in range(bisect_left(src, z - lmax), bisect_right(src, z)):
             num, den = 0, 1
             for a, frow in zip(grow, fents):
@@ -298,9 +286,22 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
                 if an and bn:
                     num, den = num * ad * bd + an * bn * den, den * ad * bd
             if num:
-                row[j] = Fraction(num, den)
-        ents.append(tuple(row))
-    return Morphism(p, f.source, g.target, tuple(ents))
+                yield i, j, Fraction(num, den)
+
+
+def compose(g: Morphism, f: Morphism) -> Morphism:
+    """Composite g after f under the structure rule u(y->z)u(x->y) = u(x->z):
+    the cells of `_cells` written over the shared zero."""
+    p = f.params
+    if g.params is not p and g.params != p:
+        raise ShapeMismatch("morphisms live over different parameters")
+    if f.target.summands != g.source.summands:
+        raise ShapeMismatch("compose needs target(f) = source(g)")
+    src, tgt = f.source.summands, g.target.summands
+    ents = [[_ZERO] * len(src) for _ in tgt]
+    for i, j, v in _cells(tgt, g.entries, src, f.entries, p.l - 1):
+        ents[i][j] = v
+    return Morphism(p, f.source, g.target, tuple(map(tuple, ents)))
 
 
 def shift_obj(params: FamilyParams, obj: SumObject, r: int) -> SumObject:
@@ -327,7 +328,7 @@ def direct_sum_mor(first: Morphism, *rest: Morphism) -> Morphism:
     """
     mors = (first, *rest)
     p = first.params
-    if any(m.params != p for m in rest):
+    if any(m.params is not p and m.params != p for m in rest):
         raise ShapeMismatch("morphisms live over different parameters")
     src_tags = sorted(
         (pos, b, j) for b, m in enumerate(mors) for j, pos in enumerate(m.source.summands)
@@ -423,7 +424,7 @@ def _left_solve(f: Morphism, c: SumObject, rhs):
 
 def right_factor(f: Morphism, t: Morphism) -> Morphism | None:
     """A morphism g with f o g = t, or None when t does not factor through f."""
-    if f.params != t.params or f.target != t.target:
+    if f.params is not t.params and f.params != t.params or f.target.summands != t.target.summands:
         raise ShapeMismatch("right_factor needs target(f) = target(t)")
     ents = _right_solve(f, t.source, t.entries)
     if ents is None:
@@ -433,7 +434,7 @@ def right_factor(f: Morphism, t: Morphism) -> Morphism | None:
 
 def left_factor(f: Morphism, t: Morphism) -> Morphism | None:
     """A morphism g with g o f = t, or None when t does not extend along f."""
-    if f.params != t.params or f.source != t.source:
+    if f.params is not t.params and f.params != t.params or f.source.summands != t.source.summands:
         raise ShapeMismatch("left_factor needs source(f) = source(t)")
     ents = _left_solve(f, t.target, t.entries)
     if ents is None:

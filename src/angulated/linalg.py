@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over the rationals, computed in integers.
+"""The elimination kernel: exact rank, solve and nullspace, in integers.
 
 Every system in this package is tiny (a handful of unknowns) and its
 entries are mostly 0 and +-1.  Each row is scaled to integers by the lcm
@@ -9,7 +9,8 @@ become `Fraction(numerator, pivot)`.  The reduced row echelon form is
 unique, so every result equals the one elimination over `Fraction` gives.
 Matrices are lists of rows of `int` or `Fraction` entries; an empty list
 is the unique matrix with zero rows.  Functions that cannot infer the number of
-columns from the data take it explicitly.
+columns from the data take it explicitly.  No matrix product lives here:
+`compose` and the Hom-exactness test share the masked product `core._cells`.
 """
 
 from fractions import Fraction
@@ -91,18 +92,3 @@ def nullspace(rows: Matrix, nunknowns: int) -> list[list[Fraction]]:
             v[c] = Fraction(-row[f], row[c])
         basis.append(v)
     return basis
-
-
-def mat_mul(a: Matrix, b: Matrix, b_ncols: int) -> Matrix:
-    """Product a*b where b has `b_ncols` columns (needed when b is empty)."""
-    out = []
-    for arow in a:
-        out.append([
-            sum((arow[k] * b[k][j] for k in range(len(b))), Fraction(0))
-            for j in range(b_ncols)
-        ])
-    return out
-
-
-def is_zero(rows: Matrix) -> bool:
-    return all(x == 0 for row in rows for x in row)

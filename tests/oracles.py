@@ -24,11 +24,16 @@ block angles summed slot-wise, then permuted back onto the connector.
 `with_map_zeroed` spoils an angle so that the exactness tests see failures
 too.  `angle_composite_failure` is `Angle`'s composite check with every
 composite built, a zero factor or not.  `admissible` lists the triples
-that sweeps run at, from the definition rather than `validate_params`.
+that sweeps run at, from the definition rather than `validate_params`, and
+`wide_counts` gives the number of wide specs and of their members by a
+closed form instead of by enumerating them.
 `ar_angle_in_reference` builds a subcategory AR angle as the angle on its
 connector, its cover found by walking the quiver, instead of the
 library's merged progressions.
 """
+
+from fractions import Fraction
+from math import comb
 
 from angulated import (
     Angle,
@@ -83,6 +88,24 @@ def admissible(max_period):
          for l in range(2, 2 * max_period // (d + 2) + 1)),
         key=lambda t: (t[1] * (t[0] + 2) // 2, t[0]),
     )
+
+
+def wide_counts(params):
+    """(wide specs, their members in total) at `params`, by the closed form.
+
+    With n = period, a semisimple spec of size k >= 1 is a k-subset of the
+    n-cycle whose cyclic gaps are all >= l: there are
+    (n/k)*C(n - k(l-1) - 1, k - 1) of them, holding n*C(n - k(l-1) - 1, k - 1)
+    members together; the empty spec adds one.  The 2^l unions of residue
+    classes mod l hold 2^(l-1)*n members, and the empty one and the l single
+    classes, n members together, are semisimple already.  The sums are
+    exact, so a closed form that is not whole cannot equal a count.
+    """
+    n, l = params.period, params.l
+    ways = [(k, comb(n - k * (l - 1) - 1, k - 1)) for k in range(1, n // l + 1)]
+    specs = 1 + sum(Fraction(n * w, k) for k, w in ways) + 2 ** l - 1 - l
+    pairs = sum(n * w for _, w in ways) + 2 ** (l - 1) * n - n
+    return specs, pairs
 
 
 def ar_angle_in_reference(spec, pos):
@@ -402,7 +425,8 @@ def _inexact(dims, mats, slots):
     """Slots of the complex mats[k]: space k -> space k+1 that are not exact.
 
     Exactness at slot s is rank(in) + rank(out) = dim together with
-    out o in = 0, every matrix ranked and multiplied as it stands.
+    out o in = 0, every matrix ranked as it stands and multiplied here, row
+    by column, with no mask.
     """
     bad = []
     for s in slots:
@@ -410,7 +434,8 @@ def _inexact(dims, mats, slots):
         out_rank = linalg.rank(mats[s]) if s < len(mats) else 0
         ok = in_rank + out_rank == dims[s]
         if ok and 0 < s < len(mats) and dims[s]:
-            ok = linalg.is_zero(linalg.mat_mul(mats[s], mats[s - 1], dims[s - 1]))
+            ok = all(sum(a * b for a, b in zip(row, col)) == 0
+                     for row in mats[s] for col in zip(*mats[s - 1]))
         if not ok:
             bad.append(s)
     return bad

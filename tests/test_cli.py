@@ -4,11 +4,22 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from angulated import ar_angle, basis_mor, min_angle
-from angulated.cli import angle_doc, doc_to_angle, main, parse_object
+from angulated import (
+    Angle,
+    Morphism,
+    SumObject,
+    ar_angle,
+    basis_mor,
+    join_pos,
+    min_angle,
+    shift_obj,
+    validate_params,
+)
+from angulated.cli import angle_doc, main, parse_object
 
 from test_verify import RAISING_PLANTS
 
@@ -216,6 +227,21 @@ class TestQuiverCommand:
     def test_dot_refused_elsewhere(self, capsys):
         code, _, _ = run(capsys, *ARGS449, "--format", "dot", "ar", "f5")
         assert code == 2
+
+
+def doc_to_angle(doc: dict) -> Angle:
+    """Inverse of `angle_doc`; validates the angle on reconstruction."""
+    p = validate_params(doc["params"]["d"], doc["params"]["l"], doc["params"]["m"])
+    objects = [
+        SumObject(tuple(join_pos(p, s["shift"], s["index"]) for s in o))
+        for o in doc["objects"]
+    ]
+    targets = objects[1:] + [shift_obj(p, objects[0], 1)]
+    maps = []
+    for k, mdoc in enumerate(doc["maps"]):
+        ents = tuple(tuple(Fraction(e) for e in row) for row in mdoc["entries"])
+        maps.append(Morphism(p, objects[k], targets[k], ents))
+    return Angle(p, tuple(objects), tuple(maps))
 
 
 class TestJsonRoundTrip:

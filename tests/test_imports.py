@@ -14,7 +14,9 @@ or everything is the check runner of `verify`, which turns a raise into a
 failed check; a broad catch anywhere else would hide the defects that the
 oracles exist to find.  The oracle layer (`verify`) and the CLI use only
 the public names of the other package modules, so an oracle cannot lean on
-the internals of the construction it checks.
+the internals of the construction it checks.  Every public function of the
+elimination kernel `linalg` is called by another package module, so a
+kernel helper kept alive only by a test import is caught.
 """
 
 import ast
@@ -258,3 +260,45 @@ def test_oracles_and_cli_use_public_names_only():
         if (used := private_names_used((ROOT / "src" / "angulated" / name).read_text()))
     }
     assert found == {}
+
+
+def uncalled_public_functions(sources: dict[str, str], module: str) -> list[str]:
+    """Public module-level functions of `module` that no other source calls,
+    as an attribute of the module's name or by a name imported from it."""
+    stem = module.removesuffix(".py")
+    public = [(n.name, n.lineno) for n in ast.parse(sources[module]).body
+              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not n.name.startswith("_")]
+    called = set()
+    for label, source in sources.items():
+        if label == module:
+            continue
+        tree = ast.parse(source)
+        imported = {a.asname or a.name: a.name for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom) and n.module == stem for a in n.names}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id == stem):
+                called.add(func.attr)
+            elif isinstance(func, ast.Name) and func.id in imported:
+                called.add(imported[func.id])
+    return [f"{stem}.{name} (line {line})" for name, line in public if name not in called]
+
+
+def test_checker_flags_an_uncalled_kernel_function():
+    sources = {
+        "kernel.py": "def by_attr():\n    return 0\n\ndef by_import():\n    return 1\n\n"
+                     "def only_named():\n    return 2\n\ndef only_here():\n    return 3\n\n"
+                     "def _private():\n    return only_here()\n",
+        "user.py": "from . import kernel\nfrom .kernel import by_import as b\n\n"
+                   "def run():\n    hook = kernel.only_named\n    return kernel.by_attr() + b()\n",
+    }
+    assert uncalled_public_functions(sources, "kernel.py") == [
+        "kernel.only_named (line 7)", "kernel.only_here (line 10)",
+    ]
+
+
+def test_every_linalg_function_has_a_package_caller():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert uncalled_public_functions(sources, "linalg.py") == []

@@ -25,6 +25,8 @@ from angulated import (
     wide_oracle_witness,
 )
 
+from oracles import admissible, wide_counts
+
 
 def spec(params, *indices):
     return SubcatSpec(params, tuple(indices))
@@ -121,6 +123,16 @@ class TestEnumerateWide:
     def test_all_enumerated_pass_oracle(self, any_params):
         for sp in enumerate_wide(any_params):
             assert is_wide_oracle(sp)
+
+    def test_counts_are_the_closed_form_up_to_period_18(self):
+        # specs and (spec, member) pairs at every admissible triple with
+        # period <= 18, against the closed form of the cyclic gap count
+        triples = admissible(18)
+        assert len(triples) == 23
+        for triple in triples:
+            p = validate_params(*triple)
+            specs = enumerate_wide(p)
+            assert wide_counts(p) == (len(specs), sum(len(s.indices) for s in specs)), triple
 
     def test_lexicographic_order(self, p449):
         out = [sp.indices for sp in enumerate_wide(p449)]
