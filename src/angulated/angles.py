@@ -25,7 +25,6 @@ summands, not the span.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .core import (
@@ -36,19 +35,31 @@ from .core import (
     ShapeMismatch,
     SumObject,
     ZERO_OBJ,
+    _ONE,
+    _ZERO,
     _cells,
     _exact,
     basis_mor,
     compose,
     direct_sum_mor,
     indec,
-    residue_class,
     shift_mor,
     shift_obj,
     zero_mor,
 )
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+
+def _check_chain(params: FamilyParams, ends, maps) -> None:
+    """Raise ShapeMismatch unless map k goes from ends[k] to ends[k + 1],
+    position tuples, over `params`: compared by identity, falling back to
+    equality for a separately built record."""
+    if len(maps) != len(ends) - 1:
+        raise ShapeMismatch(f"a chain of {len(ends)} objects needs {len(ends) - 1} maps")
+    for k, mor in enumerate(maps):
+        if mor.params is not params and mor.params != params:
+            raise ShapeMismatch(f"map {k} lives over different parameters")
+        if mor.source.summands != ends[k] or mor.target.summands != ends[k + 1]:
+            raise ShapeMismatch(f"map {k} does not go from object {k} to object {k + 1}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +70,8 @@ class Angle:
     map maps[d+1] goes objects[d+1] -> shift(objects[0], 1).  Consecutive
     composites vanish, including around the wrap; a composite with a zero
     factor vanishes and is not built, nor then is the shifted connector.
-    Shapes are checked on position tuples, the wrap-around target being
-    object 0's positions moved by one period, and a map's parameter record
-    by identity, falling back to equality for a separately built record.
+    The maps are checked as a chain (`_check_chain`) whose last end, object
+    d+2, is object 0's positions moved by one period.
     """
 
     params: FamilyParams
@@ -74,12 +84,7 @@ class Angle:
         if len(self.objects) != n or len(self.maps) != n:
             raise ShapeMismatch(f"an angle needs {n} objects and {n} maps")
         ends = [o.summands for o in self.objects]
-        ends.append(tuple(q + p.period for q in ends[0]))
-        for k, mor in enumerate(self.maps):
-            if mor.params is not p and mor.params != p:
-                raise ShapeMismatch("angle maps live over different parameters")
-            if mor.source.summands != ends[k] or mor.target.summands != ends[k + 1]:
-                raise ShapeMismatch(f"map {k} does not match the object chain")
+        _check_chain(p, [*ends, tuple(q + p.period for q in ends[0])], self.maps)
         maps, zero = self.maps, [m.is_zero for m in self.maps]
         for k in range(n - 1):
             if not (zero[k] or zero[k + 1] or compose(maps[k + 1], maps[k]).is_zero):
@@ -277,20 +282,21 @@ class FLevelChain:
 def _ladder(params: FamilyParams, kind: str, i: int, j: int) -> FLevelChain:
     """The `kind` chain cut from the ladder through f_i, f_j.
 
-    The ladder is the d+2 window positions congruent to i or j mod l, in
-    increasing order; the two classes alternate, so f_j follows f_i.  With
-    d zeros on each side, the d-kernel is its d+1 objects ending at f_i and
-    the d-cokernel its d+1 objects starting at f_j.  Neighbouring vertices
-    are joined by basis morphisms, anything else by zero maps.
+    The ladder is the minimal angle on u(a -> b), where a < b are the
+    highest window positions congruent to i and j mod l, cut down to the
+    window: its d+2 positions are `_min_positions(a, b)`, the window
+    positions congruent to i or j mod l, and the gap law holds, so f_j
+    follows f_i.  With d zeros on each side, the d-kernel is its d+1
+    objects ending at f_i and the d-cokernel its d+1 objects starting at
+    f_j.  Neighbouring vertices are joined by basis morphisms, anything
+    else by zero maps.
     """
     if not (1 <= i <= params.period and 1 <= j <= params.period):
         raise BadDistance(f"indices must lie in [1, {params.period}]")
     if not 1 <= j - i <= params.l - 1:
         raise BadDistance(f"need 1 <= j - i <= {params.l - 1}, got {j - i}")
-    d = params.d
-    positions = sorted([*residue_class(params, i), *residue_class(params, j)])
-    if len(positions) != d + 2:  # each class meets the window (d+2)/2 times
-        raise InternalError(f"ladder {positions} does not have d+2 terms")
+    d, per = params.d, params.period
+    positions = _min_positions(params, *sorted(per - (per - q) % params.l for q in (i, j)))
     row = [ZERO_OBJ] * d + [indec(q) for q in positions] + [ZERO_OBJ] * d
     at_i = d + positions.index(i)
     start = {"kernel": at_i - d, "cokernel": at_i + 1, "exact": d}[kind]
@@ -390,16 +396,9 @@ def _inexact_windows(summands, entries, l: int, ts: range, slots: range):
 
 def _exact_in_f(params: FamilyParams, objects, maps, first: int, slots: range) -> bool:
     """Hom(t, -) leaves the complex exact at `slots` for the period of test
-    vertices t from `first` on; maps over other parameters, or not from
-    object k to object k + 1, raise."""
-    if any(m.params is not params and m.params != params for m in maps):
-        raise ShapeMismatch("chain maps live over different parameters")
+    vertices t from `first` on; a chain that `_check_chain` rejects raises."""
     ends = [o.summands for o in objects]
-    if len(maps) != len(objects) - 1 or any(
-        m.source.summands != a or m.target.summands != b
-        for m, a, b in zip(maps, ends, ends[1:])
-    ):
-        raise ShapeMismatch("map k of a chain must go from object k to object k + 1")
+    _check_chain(params, ends, maps)
     return not _inexact_windows(
         ends, [m.entries for m in maps], params.l,
         range(first, first + params.period), slots,

@@ -171,7 +171,7 @@ def quiver_dot(params: FamilyParams, lo: int, hi: int, spec=None) -> str:
 def _read_config(path: str) -> dict:
     out = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for raw in fh:
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -180,7 +180,7 @@ def _read_config(path: str) -> dict:
                     raise UsageError(f"bad config line {line!r} (want key=value)")
                 key, value = (part.strip() for part in line.split("=", 1))
                 out[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}")
     for key in out:
         if key not in {"d", "l", "m", "format"}:

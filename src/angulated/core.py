@@ -171,17 +171,20 @@ def _exact(e, where: str) -> Fraction:
 
 
 def _check_cells(params, src, tgt, ents) -> bool:
-    """Check row lengths and the support rule on the nonzero cells.
+    """Check the matrix shape and the support rule on the nonzero cells.
 
-    Raises ShapeMismatch at a row of the wrong length or at a nonzero cell
-    whose Hom space vanishes.  Returns False, with the scan unfinished, at
-    the first row that is not a tuple or cell that is not a Fraction: such
-    a matrix is converted and scanned again.
+    Raises ShapeMismatch at a row count or row length other than the
+    objects', and at the first nonzero cell, in row-major order, whose Hom
+    space vanishes.  Returns False, with the scan unfinished, at the first
+    row that is not a tuple or cell that is not a Fraction: such a matrix
+    is converted and scanned again.
     """
+    ncols, lmax = len(src), params.l - 1
+    if len(ents) != len(tgt):
+        raise ShapeMismatch(f"entry matrix must be {len(tgt)} x {ncols}")
     if type(ents) is not tuple:
         return False
-    ncols, lmax = len(src), params.l - 1
-    for y, row in zip(tgt, ents):
+    for i, (y, row) in enumerate(zip(tgt, ents)):
         if type(row) is not tuple:
             return False
         if len(row) != ncols:
@@ -190,20 +193,10 @@ def _check_cells(params, src, tgt, ents) -> bool:
             if type(e) is not Fraction:
                 return False
             if not 0 <= y - x <= lmax and e:
-                raise _support_violation(lmax, src, tgt, ents)
+                j = next(j for j, (q, c) in enumerate(zip(src, row))
+                         if c and not 0 <= y - q <= lmax)
+                raise ShapeMismatch(f"entry ({i}, {j}) nonzero but Hom({x} -> {y}) = 0")
     return True
-
-
-def _support_violation(lmax: int, src, tgt, ents) -> ShapeMismatch:
-    """The error at the first nonzero cell, in row-major order, whose Hom
-    space vanishes; every cell before it has passed `_check_cells`."""
-    i, j = next(
-        (i, j)
-        for i, (y, row) in enumerate(zip(tgt, ents))
-        for j, (x, e) in enumerate(zip(src, row))
-        if e and not 0 <= y - x <= lmax
-    )
-    return ShapeMismatch(f"entry ({i}, {j}) nonzero but Hom({src[j]} -> {tgt[i]}) = 0")
 
 
 @dataclass(frozen=True)
@@ -226,13 +219,10 @@ class Morphism:
 
     def __post_init__(self):
         src, tgt = self.source.summands, self.target.summands
-        ents = self.entries
-        if len(ents) != len(tgt):
-            raise ShapeMismatch(f"entry matrix must be {len(tgt)} x {len(src)}")
-        if not _check_cells(self.params, src, tgt, ents):
+        if not _check_cells(self.params, src, tgt, self.entries):
             ents = tuple(
                 tuple(_exact(e, f"entry ({i}, {j})") for j, e in enumerate(row))
-                for i, row in enumerate(ents)
+                for i, row in enumerate(self.entries)
             )
             object.__setattr__(self, "entries", ents)
             _check_cells(self.params, src, tgt, ents)

@@ -358,20 +358,57 @@ class TestWindowChains:
         f1, f1f2 = indec(1), SumObject((1, 2))
         chain = FLevelChain(p449, "kernel", (f1, f1f2), (basis_mor(p449, 1, 2),))
         mu = Morphism(p449, f1f2, indec(3), ((1, 1),))
-        with pytest.raises(ShapeMismatch, match="object k"):
+        with pytest.raises(ShapeMismatch, match="^map 0 does not go from object 0 to object 1$"):
             check_d_kernel(chain, mu)
 
     def test_misaligned_cokernel_chain_rejected(self, p449):
         f3, f3f4 = indec(3), SumObject((3, 4))
         chain = FLevelChain(p449, "cokernel", (f3, f3f4), (basis_mor(p449, 3, 4),))
-        with pytest.raises(ShapeMismatch, match="object k"):
+        with pytest.raises(ShapeMismatch, match="^map 1 does not go from object 1 to object 2$"):
             check_d_cokernel(chain, basis_mor(p449, 2, 3))
 
     def test_misaligned_exact_chain_rejected(self, p449):
         exact = d_exact_seq(p449, 3, 6)  # 2, 3, 6, 7, 10, 11
         maps = exact.maps[:2] + (basis_mor(p449, 7, 10),) + exact.maps[3:]
-        with pytest.raises(ShapeMismatch, match="object k"):
+        with pytest.raises(ShapeMismatch, match="^map 2 does not go from object 2 to object 3$"):
             check_d_exact(FLevelChain(p449, "exact", exact.objects, maps))
+
+    def test_angle_and_chain_share_the_slot_rule(self, p449, p223):
+        # the minimal angle on u(10 -> 11) and d_exact_seq(3, 6) both sit at
+        # 2, 3, 6, 7, 10, 11; the same faulty map is rejected by both with
+        # the same message, naming the map
+        angle, exact = min_angle(basis_mor(p449, 10, 11)), d_exact_seq(p449, 3, 6)
+        assert angle.objects == exact.objects
+        for k, bad, want in (
+            (2, basis_mor(p449, 7, 10), "map 2 does not go from object 2 to object 3"),
+            (0, basis_mor(p223, 2, 3), "map 0 lives over different parameters"),
+        ):
+            with pytest.raises(ShapeMismatch, match=f"^{want}$"):
+                Angle(p449, angle.objects, angle.maps[:k] + (bad,) + angle.maps[k + 1:])
+            maps = exact.maps[:k] + (bad,) + exact.maps[k + 1:]
+            with pytest.raises(ShapeMismatch, match=f"^{want}$"):
+                check_d_exact(FLevelChain(p449, "exact", exact.objects, maps))
+
+    def test_window_ladders_are_minimal_angles(self):
+        # d_exact_seq(i, j) is the minimal angle on u(a -> b), where (a, b)
+        # is the ladder's top pair, without its connector: the window
+        # positions congruent to i or j mod l, joined by basis morphisms
+        pairs = 0
+        for triple in admissible(18):
+            p = validate_params(*triple)
+            for i in range(1, p.period + 1):
+                for j in range(i + 1, min(i + p.l, p.period + 1)):
+                    merged = [
+                        q for q in range(1, p.period + 1)
+                        if (q - i) % p.l == 0 or (q - j) % p.l == 0
+                    ]
+                    exact = d_exact_seq(p, i, j)
+                    assert [o.summands for o in exact.objects] == [(q,) for q in merged]
+                    angle = min_angle(basis_mor(p, *merged[-2:]))
+                    assert exact.objects == angle.objects
+                    assert exact.maps == angle.maps[:-1]
+                    pairs += 1
+        assert pairs == 730
 
     def test_chain_not_at_the_end_of_mu_rejected(self, p449):
         # the kernel chain ends at f3 and the cokernel chain starts at f5

@@ -286,7 +286,7 @@ class TestEqualParameterRecords:
         return Morphism(params, mor.source, mor.target, mor.entries)
 
     @pytest.mark.parametrize("triple, message", [
-        ((4, 4, 9), None), ((2, 2, 3), "angle maps live over different parameters"),
+        ((4, 4, 9), None), ((2, 2, 3), "map 0 lives over different parameters"),
     ])
     def test_angle(self, p449, triple, message):
         # map 0 of the minimal angle on u(f1 -> f2) is u(-7 -> -6), a valid

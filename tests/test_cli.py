@@ -415,6 +415,15 @@ class TestConfigFile:
         code, _, _ = run(capsys, "--config", str(tmp_path / "nope.cfg"), "params")
         assert code == 2
 
+    def test_undecodable_file_exit_two(self, capsys, tmp_path):
+        # a config file is read as UTF-8; a byte that does not decode is a
+        # configuration error, not a traceback
+        cfg = tmp_path / "family.cfg"
+        cfg.write_bytes(b"d=4\n\xff\n")
+        code, out, err = run(capsys, "--config", str(cfg), "params")
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot read config file: ")
+
 
 class TestParserBuiltOnce:
     """`main` builds its parser on the first call and reuses it after."""

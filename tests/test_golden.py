@@ -20,13 +20,21 @@ without a distance-0 cell gave the same angles before.
 return (or None) on 200 seeded pairs each.  It was taken while each
 factorisation was still one system over every cell of the factor, before
 it became one small system per column (per row on the left).
+
+`test_perfbench_reference_data_is_current` holds the benchmark's own
+reference data, `perfbench/golden.json`, byte-equal to what
+`perfbench/worker.py golden` prints for the package as it is.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +194,18 @@ def factor_transcript() -> str:
 def test_factor_digest():
     got = hashlib.sha256(factor_transcript().encode()).hexdigest()
     assert got == FACTOR_DIGEST
+
+
+def test_perfbench_reference_data_is_current():
+    # `perfbench/worker.py golden` prints the reference data the benchmark
+    # checks its outputs against (verify check names and the session's
+    # outcome digests); drift there would be refused by the benchmark as
+    # incorrect outputs, so it fails here first
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    done = subprocess.run(
+        [sys.executable, str(bench / "worker.py"), "golden"],
+        capture_output=True, check=True, cwd=bench.parent,
+    )
+    want = (bench / "golden.json").read_bytes()
+    assert json.loads(done.stdout) == json.loads(want)
+    assert done.stdout == want
