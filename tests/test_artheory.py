@@ -286,7 +286,10 @@ class TestEqualParameterRecords:
         return Morphism(params, mor.source, mor.target, mor.entries)
 
     @pytest.mark.parametrize("triple, message", [
-        ((4, 4, 9), None), ((2, 2, 3), "map 0 lives over different parameters"),
+        ((4, 4, 9), None),
+        # the id names the case, an angle with a map over other parameters
+        pytest.param((2, 2, 3), "map 0 lives over different parameters",
+                     id="triple1-angle maps live over different parameters"),
     ])
     def test_angle(self, p449, triple, message):
         # map 0 of the minimal angle on u(f1 -> f2) is u(-7 -> -6), a valid
