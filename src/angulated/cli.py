@@ -36,7 +36,6 @@ from .angles import (
     min_angle,
 )
 from .core import (
-    BadDistance,
     DomainError,
     FamilyParams,
     Morphism,
@@ -61,12 +60,7 @@ def parse_object(params: FamilyParams, text: str) -> int:
     m = _OBJ_RE.match(text)
     if m:
         shift = int(m.group(1)) if m.group(1) else 0
-        index = int(m.group(2))
-        if not 1 <= index <= params.period:
-            raise BadDistance(
-                f"index {index} outside [1, {params.period}] in {text!r}"
-            )
-        return join_pos(params, shift, index)
+        return join_pos(params, shift, int(m.group(2)))
     m = _POS_RE.match(text)
     if m:
         return int(m.group(1))
@@ -171,7 +165,7 @@ def quiver_dot(params: FamilyParams, lo: int, hi: int, spec=None) -> str:
 def _read_config(path: str) -> dict:
     out = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for raw in fh:
                 line = raw.strip()
                 if not line or line.startswith("#"):

@@ -506,20 +506,21 @@ def extended_chain(a):
 
 
 def hom_exactness_reference(a):
-    """The (vertex, slot) failures of every Hom(t, -) across the angle.
+    """The (vertex, object) failures of every Hom(t, -) across the angle.
 
-    Each test vertex t in [min position - period - l + 1, max position +
-    period] walks the quiver for its Hom spaces over `extended_chain(a)`;
-    the failures come in the order of t, then of the slot.
+    Each test vertex t in [min position - l + 1, max position] walks the
+    quiver for its Hom spaces over `extended_chain(a)`, at the middle
+    copy's slots d+2..2d+3, reported as the angle's own objects 0..d+1;
+    the failures come in the order of t, then of the object.
     """
     p = a.params
     positions = [q for o in a.objects for q in o.summands]
     if not positions:
         return ()
     objects, maps = extended_chain(a)
-    slots = range(1, len(objects) - 1)
+    n = len(a.objects)
     return tuple(
-        (t, s)
-        for t in range(min(positions) - p.period - p.l + 1, max(positions) + p.period + 1)
-        for s in hom_from_inexact_slots(p, objects, maps, t, slots)
+        (t, s - n)
+        for t in range(min(positions) - p.l + 1, max(positions) + 1)
+        for s in hom_from_inexact_slots(p, objects, maps, t, range(n, 2 * n))
     )

@@ -414,9 +414,9 @@ class TestWindowChains:
         # the kernel chain ends at f3 and the cokernel chain starts at f5
         # (ladder 1, 3, 5, 7, 9, 11), so neither meets u(2 -> 4)
         mu = basis_mor(p449, 2, 4)
-        with pytest.raises(ShapeMismatch, match="end at the source"):
+        with pytest.raises(ShapeMismatch, match="^map 4 does not go from object 4 to object 5$"):
             check_d_kernel(d_kernel(p449, 3, 5), mu)
-        with pytest.raises(ShapeMismatch, match="start at the target"):
+        with pytest.raises(ShapeMismatch, match="^map 0 does not go from object 0 to object 1$"):
             check_d_cokernel(d_cokernel(p449, 3, 5), mu)
 
     def test_maps_over_other_parameters_rejected(self, p449, p223):
@@ -472,6 +472,24 @@ class TestWindowChains:
         broken = type(exact)(p449, "exact", tuple(objects), tuple(maps))
         assert not check_d_exact(broken)
 
+    def test_checks_the_chain_once_per_call(self, p449, monkeypatch):
+        # the chain rule runs once, before either functor's sweep; whether
+        # the chain meets mu is its last (first) map's slot, not a check of
+        # its own
+        calls = []
+        check = angles._check_chain
+
+        def spy(params, ends, maps):
+            calls.append(len(maps))
+            return check(params, ends, maps)
+
+        monkeypatch.setattr(angles, "_check_chain", spy)
+        mu = basis_mor(p449, 3, 6)
+        assert check_d_exact(d_exact_seq(p449, 3, 6))
+        assert check_d_kernel(d_kernel(p449, 3, 6), mu)
+        assert check_d_cokernel(d_cokernel(p449, 3, 6), mu)
+        assert calls == [p449.d + 1] * 3
+
     def test_ranks_alone_do_not_make_a_chain_exact(self, p449):
         # f1 -> f1 + f1 -> f1 into the first summand and out of the first or
         # the second: every window keeps all of it or nothing, so the ranks
@@ -498,9 +516,9 @@ class TestHomExactnessOracle:
         maps[2] = zero_mor(p449, a.objects[2], a.objects[3])
         report = check_hom_exactness(Angle(p449, a.objects, tuple(maps)))
         assert not report.ok
-        assert report.failures
-        # the zeroed map sits at slots d+2+2, d+2+3 of the extended complex
-        assert any(slot in {p449.d + 4, p449.d + 5} for _, slot in report.failures)
+        # the zeroed map 2 goes from object 2 to object 3: exactness fails
+        # at those two objects and nowhere else
+        assert {s for _, s in report.failures} == {2, 3}
 
     def test_ranks_each_nonempty_map_once(self, p449, monkeypatch):
         shapes = []
@@ -537,7 +555,7 @@ class TestHomExactnessOracle:
 
     def test_zeroed_minimal_angles_match_the_reference(self):
         # every map of every minimal angle u(1 -> 1 + D) zeroed in turn;
-        # slots 1 and 3(d+2) - 2 are where the repeated copies are cut off
+        # the edges are the angle's first and last objects, 0 and d+1
         angles_seen, edges = 0, {"first": 0, "last": 0}
         for triple in admissible(12):
             p = validate_params(*triple)
@@ -550,11 +568,32 @@ class TestHomExactnessOracle:
                     assert report.failures == hom_exactness_reference(b), (triple, dist, k)
                     assert not report.ok
                     slots = {s for _, s in report.failures}
-                    edges["first"] += 1 in slots
-                    edges["last"] += 3 * n - 2 in slots
+                    edges["first"] += 0 in slots
+                    edges["last"] += n - 1 in slots
                     angles_seen += 1
         assert angles_seen == 142
         assert edges == {"first": 52, "last": 52}
+
+    def test_each_failure_is_reported_once_at_its_own_object(self):
+        # every map of every minimal angle u(1 -> 1 + D) zeroed in turn: a
+        # failure names one of the angle's objects 0..d+1 and a test vertex
+        # whose window meets the angle, and none is listed twice
+        angles_seen = 0
+        for triple in admissible(12):
+            p = validate_params(*triple)
+            for dist in range(1, p.l):
+                a = min_angle(basis_mor(p, 1, 1 + dist))
+                for k in range(p.d + 2):
+                    b = with_map_zeroed(a, k)
+                    positions = [q for o in b.objects for q in o.summands]
+                    failures = check_hom_exactness(b).failures
+                    assert len(set(failures)) == len(failures), (triple, dist, k)
+                    assert all(0 <= s <= p.d + 1 for _, s in failures)
+                    assert all(
+                        min(positions) - p.l + 1 <= t <= max(positions) for t, _ in failures
+                    )
+                    angles_seen += 1
+        assert angles_seen == 142
 
     def test_session_gate_angles_match_the_reference(self):
         # each gate angle as built, and with map n mod (d+2) zeroed; the

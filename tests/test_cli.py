@@ -295,6 +295,16 @@ class TestReadmeExamples:
                 ran += 1
         assert ran >= 12
 
+    def test_every_python_example_runs(self):
+        import pathlib
+        import re
+
+        readme = pathlib.Path(__file__).parent.parent / "README.md"
+        blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+        assert blocks, "no Python examples found in README"
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+
     def test_every_subcommand_has_an_example(self):
         import argparse
         import pathlib
@@ -376,6 +386,16 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "BadDistance"
 
+    def test_out_of_window_index_is_refused_with_one_document(self, capsys):
+        # an object, a --sub index and a wide spec index are checked by
+        # the same range rule, so index 13 at period 12 reads the same
+        docs = []
+        for argv in (("hom", "f13", "f1"), ("cover", "f7", "--sub", "13"), ("wide", "check", "13")):
+            code, out, err = run(capsys, *ARGS449, *argv)
+            assert code == 1 and out == ""
+            docs.append(err)
+        assert docs == ['{"error": "BadDistance", "message": "index 13 outside [1, 12]"}\n'] * 3
+
     def test_wide_list_refuses_a_spec(self, capsys):
         code, out, err = run(capsys, *ARGS449, "wide", "list", "1")
         assert code == 2 and out == ""
@@ -414,6 +434,14 @@ class TestConfigFile:
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, "--config", str(tmp_path / "nope.cfg"), "params")
         assert code == 2
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, capsys, tmp_path):
+        # editors may save UTF-8 with a leading byte-order mark
+        cfg = tmp_path / "family.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfd=4\nl=4\nm=9\n")
+        code, out, _ = run(capsys, "--config", str(cfg), "params")
+        assert code == 0
+        assert json.loads(out)["period"] == 12
 
     def test_undecodable_file_exit_two(self, capsys, tmp_path):
         # a config file is read as UTF-8; a byte that does not decode is a

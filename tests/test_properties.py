@@ -536,8 +536,13 @@ def test_hom_into_t_fails_where_hom_from_t_minus_l_plus_1_does(p, data):
         assert hom_into_inexact_slots(p, objects, maps, t, range(len(objects))) == (
             hom_from_inexact_slots(p, objects, maps, t - p.l + 1, range(len(objects)))
         )
-    slots = range(1, len(objects) - 1)
-    into = [(t, s) for t in ts for s in hom_into_inexact_slots(p, objects, maps, t, slots)]
+    # the oracle reports the middle copy, objects d+2..2d+3 of the
+    # extension, at the test vertices whose windows meet it
+    n = len(a.objects)
+    into = [
+        (t, s - n) for t in range(min(positions), max(positions) + p.l)
+        for s in hom_into_inexact_slots(p, objects, maps, t, range(n, 2 * n))
+    ]
     moved = [(t + p.l - 1, s) for t, s in check_hom_exactness(a).failures]
     assert moved == into
 
