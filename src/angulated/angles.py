@@ -24,7 +24,6 @@ summands, not the span.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from . import linalg
 from .core import (
@@ -32,6 +31,7 @@ from .core import (
     FamilyParams,
     InternalError,
     Morphism,
+    Record,
     ShapeMismatch,
     SumObject,
     ZERO_OBJ,
@@ -62,8 +62,7 @@ def _check_chain(params: FamilyParams, ends, maps) -> None:
             raise ShapeMismatch(f"map {k} does not go from object {k} to object {k + 1}")
 
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(Record):
     """Sigma^d-sequence of d+2 objects; validated on construction.
 
     maps[k] goes objects[k] -> objects[k+1] for k <= d and the connecting
@@ -74,9 +73,13 @@ class Angle:
     d+2, is object 0's positions moved by one period.
     """
 
-    params: FamilyParams
-    objects: tuple[SumObject, ...]
-    maps: tuple[Morphism, ...]
+    _fields = ("params", "objects", "maps")
+
+    def __init__(self, params: FamilyParams, objects: tuple, maps: tuple):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "maps", maps)
+        self.__post_init__()
 
     def __post_init__(self):
         p = self.params
@@ -269,14 +272,16 @@ def extend(delta: Morphism) -> Angle:
 # F-level chains: d-kernels, d-cokernels, d-exact sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FLevelChain:
+class FLevelChain(Record):
     """Chain of objects in the fundamental window with its defining role."""
 
-    params: FamilyParams
-    kind: str  # "kernel" | "cokernel" | "exact"
-    objects: tuple[SumObject, ...]
-    maps: tuple[Morphism, ...]
+    _fields = ("params", "kind", "objects", "maps")
+
+    def __init__(self, params: FamilyParams, kind: str, objects: tuple, maps: tuple):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "kind", kind)  # "kernel" | "cokernel" | "exact"
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "maps", maps)
 
 
 def _ladder(params: FamilyParams, kind: str, i: int, j: int) -> FLevelChain:
@@ -427,13 +432,15 @@ def check_d_exact(chain: FLevelChain) -> bool:
     return _exact_in_f(p, chain.objects, chain.maps, (1, range(n - 1)), (2 - p.l, range(1, n)))
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
+class ExactnessReport(Record):
     """Outcome of the Hom-exactness oracle; failures are (vertex, object)
     pairs, each once, object s in 0..d+1 of the angle itself; it is ok
     exactly when it lists no failure."""
 
-    failures: tuple[tuple[int, int], ...]
+    _fields = ("failures",)
+
+    def __init__(self, failures: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

@@ -14,8 +14,6 @@ parameters (ShapeMismatch otherwise), and a map whose source (target, on
 the left) lies outside the subcategory approximates nothing in it: False.
 """
 
-from dataclasses import dataclass
-
 from . import linalg
 from .angles import Angle, _degenerate_angle, _min_positions, min_angle
 from .core import (
@@ -24,6 +22,7 @@ from .core import (
     Morphism,
     NotMember,
     NotWide,
+    Record,
     ShapeMismatch,
     SumObject,
     ZERO_OBJ,
@@ -42,12 +41,14 @@ from .core import (
 from .wide import SubcatSpec, is_wide
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(Record):
     """Best approximation from a subcategory: zero or a single vertex."""
 
-    source: SumObject
-    mor: Morphism
+    _fields = ("source", "mor")
+
+    def __init__(self, source: SumObject, mor: Morphism):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "mor", mor)
 
 
 def ar_angle(params: FamilyParams, pos: int) -> Angle:
@@ -220,15 +221,17 @@ def is_ar_angle(spec: SubcatSpec, a: Angle) -> bool:
     return all(is_radical(a.maps[k]) for k in range(1, p.d))
 
 
-@dataclass(frozen=True)
-class TheoremBReport:
+class TheoremBReport(Record):
     """Machine-checked equivalence between covers and subcategory AR angles."""
 
-    cover_result: CoverResult
-    sub_angle: Angle
-    cover_is_cover: bool
-    sub_is_ar: bool
-    head_matches_cover: bool
+    _fields = ("cover_result", "sub_angle", "cover_is_cover", "sub_is_ar", "head_matches_cover")
+
+    def __init__(self, cover_result, sub_angle, cover_is_cover, sub_is_ar, head_matches_cover):
+        object.__setattr__(self, "cover_result", cover_result)
+        object.__setattr__(self, "sub_angle", sub_angle)
+        object.__setattr__(self, "cover_is_cover", cover_is_cover)
+        object.__setattr__(self, "sub_is_ar", sub_is_ar)
+        object.__setattr__(self, "head_matches_cover", head_matches_cover)
 
     @property
     def ok(self) -> bool:

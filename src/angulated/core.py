@@ -16,13 +16,16 @@ equal to one, general objects are finite multisets of vertices and general
 morphisms are rational matrices supported on the allowed distance band.
 
 Everything downstream (angles, covers, AR theory) reduces to this distance
-rule plus exact linear algebra over the rationals.
+rule plus exact linear algebra over the rationals.  Every value is a
+`Record`: immutable, equal only to a record of its class with equal fields,
+hashable, copyable and picklable; a plain class, so `dataclasses.fields`,
+`replace` and `asdict` do not apply to it.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
+from operator import attrgetter
 
 from . import linalg
 
@@ -62,8 +65,30 @@ class NotMember(DomainError):
     """Object lies outside the subcategory it must belong to."""
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class Record:
+    """Base of the value classes: `_fields` names, in order, the fields its `__init__` sets."""
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)  # reads fields without building a __dict__
+
+    def __eq__(self, other):
+        return (self._key(self) == self._key(other)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: records are immutable")
+
+    __delattr__ = __setattr__
+
+
+class FamilyParams(Record):
     """Admissible triple (d, l, m) plus the derived period m + l - 1.
 
     Requires d even and >= 2, l >= 2, m >= 3 and m - 1 = d*l/2; raises
@@ -71,13 +96,9 @@ class FamilyParams:
     derived, never passed.
     """
 
-    d: int
-    l: int
-    m: int
-    period: int = field(init=False)
+    _fields = ("d", "l", "m", "period")
 
-    def __post_init__(self):
-        d, l, m = self.d, self.l, self.m
+    def __init__(self, d: int, l: int, m: int):
         for name, value in (("d", d), ("l", l), ("m", m)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConstraintViolation(f"{name} must be an integer, got {value!r}")
@@ -95,7 +116,8 @@ class FamilyParams:
         # consequence of the constraint, kept as a hard check
         if 2 * period != l * (d + 2):
             raise InternalError(f"period {period} breaks 2*period = l*(d+2)")
-        object.__setattr__(self, "period", period)
+        for name, value in zip(self._fields, (d, l, m, period)):
+            object.__setattr__(self, name, value)
 
 
 def validate_params(d: int, l: int, m: int) -> FamilyParams:
@@ -130,11 +152,14 @@ def pos_label(params: FamilyParams, pos: int) -> str:
     return f"f{i}" if s == 0 else f"s{s}:f{i}"
 
 
-@dataclass(frozen=True)
-class SumObject:
+class SumObject(Record):
     """Finite multiset of vertex positions; the empty multiset is zero."""
 
-    summands: tuple[int, ...] = ()
+    _fields = ("summands",)
+
+    def __init__(self, summands: tuple[int, ...] = ()):
+        object.__setattr__(self, "summands", summands)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "summands", tuple(sorted(self.summands)))
@@ -199,8 +224,7 @@ def _check_cells(params, src, tgt, ents) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """Rational matrix between two sum objects, rows indexed by the target.
 
     Entry (i, j) is the coefficient of the basis morphism from source
@@ -212,10 +236,20 @@ class Morphism:
     float, `Decimal` or string entry raises TypeError naming its cell.
     """
 
-    params: FamilyParams
-    source: SumObject
-    target: SumObject
-    entries: tuple[tuple[Fraction, ...], ...]
+    _fields = ("params", "source", "target", "entries")
+    __hash__ = Record.__hash__  # the own `__eq__` below would otherwise unset it
+
+    def __init__(self, params: FamilyParams, source: SumObject, target: SumObject, entries):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
+
+    def __eq__(self, other):  # spelled out, ends compared as positions: a hot path
+        return ((self.params, self.source.summands, self.target.summands, self.entries)
+                == (other.params, other.source.summands, other.target.summands, other.entries)
+                if other.__class__ is self.__class__ else NotImplemented)
 
     def __post_init__(self):
         src, tgt = self.source.summands, self.target.summands

@@ -13,7 +13,6 @@ constructions they validate.  A power-set filter is listed by
 `verify wide` never walks the 2^period subsets.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -34,6 +33,7 @@ from .angles import (
 from .core import (
     FamilyParams,
     Morphism,
+    Record,
     SumObject,
     basis_mor,
     compose,
@@ -48,11 +48,15 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+class Check(Record):
+    """A suite's named verdict; `detail` names the case and exception that failed it, or is ""."""
+
+    _fields = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
 def block_iso_oracle(f: Morphism) -> bool:

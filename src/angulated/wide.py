@@ -14,18 +14,20 @@ passes a test when it breaks no rule generated from its members, and
 never visits the power set.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .core import BadDistance, FamilyParams, SumObject, index_of, residue_class
+from .core import BadDistance, FamilyParams, Record, SumObject, index_of, residue_class
 
 
-@dataclass(frozen=True)
-class SubcatSpec:
+class SubcatSpec(Record):
     """Sorted index set inside [1, period], shift-closure built in."""
 
-    params: FamilyParams
-    indices: tuple[int, ...]
+    _fields = ("params", "indices")
+
+    def __init__(self, params: FamilyParams, indices: tuple[int, ...]):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "indices", indices)
+        self.__post_init__()
 
     def __post_init__(self):
         idx = tuple(sorted(set(self.indices)))

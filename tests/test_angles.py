@@ -436,11 +436,13 @@ class TestWindowChains:
             check_d_exact(FLevelChain(p449, "exact", exact.objects, exact.maps))
 
     def test_bad_pairs_rejected(self, p449):
-        with pytest.raises(BadDistance):
+        with pytest.raises(BadDistance, match=r"^need 1 <= j - i <= 3, got 0$"):
             d_kernel(p449, 3, 3)
-        with pytest.raises(BadDistance):
+        with pytest.raises(BadDistance, match=r"^need 1 <= j - i <= 3, got 4$"):
             d_cokernel(p449, 3, 7)  # distance l
-        with pytest.raises(BadDistance):
+        with pytest.raises(BadDistance, match=r"^need 1 <= j - i <= 3, got -1$"):
+            d_cokernel(p449, 2, 1)  # j = 1 lies in the window
+        with pytest.raises(BadDistance, match=r"^indices must lie in \[1, 12\]$"):
             d_exact_seq(p449, 0, 2)
 
     def test_tampered_chain_fails(self, p449):
@@ -729,7 +731,7 @@ class TestValidationComposites:
 
     def test_min_angle_compares_no_object_or_record(self, p449, monkeypatch):
         # validation and its composites compare position tuples, and the
-        # parameter record by identity, so no dataclass equality runs
+        # parameter record by identity, so no record equality runs
         calls = {SumObject: 0, FamilyParams: 0}
         for cls in calls:
             def counting(self, other, cls=cls, eq=cls.__eq__):

@@ -56,6 +56,17 @@ class TestValidateParams:
         with pytest.raises(ConstraintViolation):
             validate_params(d, l, m)
 
+    @pytest.mark.parametrize("d,l,m,message", [
+        (2, 4.0, 5, "l must be an integer, got 4.0"),
+        (3, 2, 4, "d must be an even integer >= 2, got 3"),
+        (2, 1, 2, "l must be an integer >= 2, got 1"),
+        (2, 2, 2, "m must be an integer >= 3, got 2"),
+        (4, 4, 8, "need m - 1 = d*l/2, got m - 1 = 7 and d*l/2 = 8"),
+    ])
+    def test_message_names_the_first_failed_condition(self, d, l, m, message):
+        with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}$"):
+            validate_params(d, l, m)
+
     def test_period_formula(self):
         # period = l*(d+2)/2 follows from the constraint
         for d, l, m in [(2, 2, 3), (2, 3, 4), (4, 4, 9), (2, 4, 5), (6, 2, 7)]:
@@ -173,7 +184,7 @@ class TestCompose:
     def test_factor_and_sum_gates_compare_no_object_or_record(self, p449, monkeypatch):
         # the gates of right_factor, left_factor and direct_sum_mor compare
         # position tuples, and the parameter record by identity, so no
-        # dataclass equality runs
+        # record equality runs
         calls = {SumObject: 0, FamilyParams: 0}
         for cls in calls:
             def counting(self, other, cls=cls, eq=cls.__eq__):

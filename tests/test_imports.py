@@ -16,10 +16,14 @@ oracles exist to find.  The oracle layer (`verify`) and the CLI use only
 the public names of the other package modules, so an oracle cannot lean on
 the internals of the construction it checks.  Every public function of the
 elimination kernel `linalg` is called by another package module, so a
-kernel helper kept alive only by a test import is caught.
+kernel helper kept alive only by a test import is caught.  A cold
+`import angulated.cli` loads none of the introspection modules that
+`dataclasses` pulls in.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -302,3 +306,16 @@ def test_checker_flags_an_uncalled_kernel_function():
 def test_every_linalg_function_has_a_package_caller():
     sources = {path.name: path.read_text() for path in PACKAGE}
     assert uncalled_public_functions(sources, "linalg.py") == []
+
+
+SLOW_TO_IMPORT = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cold_import_of_the_cli_loads_no_introspection_module():
+    # -S keeps site `.pth` files from loading modules before the package
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import angulated.cli; "
+            f"print(*(m for m in {SLOW_TO_IMPORT!r} if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
