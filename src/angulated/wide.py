@@ -30,6 +30,9 @@ class SubcatSpec(Record):
         self.__post_init__()
 
     def __post_init__(self):
+        for i in self.indices:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise TypeError(f"index must be an integer, got {i!r}")
         idx = tuple(sorted(set(self.indices)))
         for i in idx:
             if not 1 <= i <= self.params.period:
@@ -174,6 +177,10 @@ def models(params: FamilyParams, rules) -> list[tuple[int, ...]]:
     `given` holds i can only break if i joins, one that brings i only if i
     is skipped.  A set that breaks a part has no extension that mends it,
     and no other set is dropped, so the result is the power-set filter.
+
+    The filter is rule-major: the sets that join i pass through one list
+    comprehension per part whose `given` holds i, the sets that skip i
+    through one per part that brings i, and only the survivors take bit i.
     """
     per = params.period
     bit = lambda x: 1 << (index_of(params, x) - 1)
@@ -191,15 +198,16 @@ def models(params: FamilyParams, rules) -> list[tuple[int, ...]]:
                 skips[top].append(given)
             else:
                 joins[top].append((given ^ 1 << (top - 1), need))
-    masks = [0]
+    # a part filed under 0, a forbidden empty `given`, is broken by every set
+    masks = [] if skips[0] else [0]
     for i in range(1, per + 1):
-        joined = [
-            m | 1 << (i - 1) for m in masks
-            if not any(m & rest == rest and not m & need for rest, need in joins[i])
-        ]
-        masks = joined + [
-            m for m in masks if not any(m & given == given for given in skips[i])
-        ]
+        joined = skipped = masks
+        for rest, need in joins[i]:
+            joined = [m for m in joined if m & rest != rest or m & need]
+        for given in skips[i]:
+            skipped = [m for m in skipped if m & given != given]
+        i_bit = 1 << (i - 1)
+        masks = [m | i_bit for m in joined] + skipped
     return sorted(tuple(q for q in range(1, per + 1) if m >> (q - 1) & 1) for m in masks)
 
 

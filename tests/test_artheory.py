@@ -150,11 +150,11 @@ class TestArAngleIn:
             assert ar_angle_in(full_spec(p449), pos) == ar_angle(p449, pos)
 
     def test_not_wide_rejected(self, p449):
-        with pytest.raises(NotWide):
+        with pytest.raises(NotWide, match=r"^spec \[1, 2\] is not wide$"):
             ar_angle_in(SubcatSpec(p449, (1, 2)), 1)
 
     def test_not_member_rejected(self, p449):
-        with pytest.raises(NotMember):
+        with pytest.raises(NotMember, match="^vertex at position 3 is not a member$"):
             ar_angle_in(SubcatSpec(p449, PERIODIC), 3)
 
     def test_shift_equivariance(self, p449):

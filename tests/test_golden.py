@@ -21,6 +21,11 @@ return (or None) on 200 seeded pairs each.  It was taken while each
 factorisation was still one system over every cell of the factor, before
 it became one small system per column (per row on the left).
 
+`test_models_digest` pins the index sets `wide.models` lists for each
+wideness family at (2,9,10) and (2,12,13), where its frontier is largest.
+It was taken while the search still tested every rule part on each set in
+turn, before it filtered the frontier once per part.
+
 `test_perfbench_reference_data_is_current` holds the benchmark's own
 reference data, `perfbench/golden.json`, byte-equal to what
 `perfbench/worker.py golden` prints for the package as it is.
@@ -38,7 +43,17 @@ from pathlib import Path
 
 import pytest
 
-from angulated import Morphism, SumObject, compose, extend, validate_params
+from angulated import (
+    Morphism,
+    SumObject,
+    closure_rules,
+    compose,
+    extend,
+    models,
+    periodic_rules,
+    semisimple_rules,
+    validate_params,
+)
 from angulated.core import left_factor, right_factor
 from angulated.cli import main
 
@@ -194,6 +209,32 @@ def factor_transcript() -> str:
 def test_factor_digest():
     got = hashlib.sha256(factor_transcript().encode()).hexdigest()
     assert got == FACTOR_DIGEST
+
+
+MODELS_DIGESTS = [
+    ((2, 9, 10), semisimple_rules,
+     "16bcbcaaf70a7d9c496225242e3db6dc567574e771afff5a3c60959fe0039942"),
+    ((2, 9, 10), periodic_rules,
+     "c8277181ed5dc7db2fb2af983210ea36e7f36ce42c3c72e8ff6d23594cf6e8cc"),
+    ((2, 9, 10), closure_rules,
+     "3fc9e5601e3f1486c53e938334b3021336442e27d8e811db7ea787919b6c818b"),
+    ((2, 12, 13), semisimple_rules,
+     "a9179d94d033c7a714816ec5a06ca0a73e89a0b5c8306cf416ef82cea7c1e01b"),
+    ((2, 12, 13), periodic_rules,
+     "c3833bd613e38f4b277e2b0b99107ce9c5bb0289d0c474c3d9cba0a587e37595"),
+    ((2, 12, 13), closure_rules,
+     "b8db0bbb8b852681b01ee10fab02c8880a74365c6698a6d4be6a3fc028556b49"),
+]
+
+
+@pytest.mark.parametrize(
+    "triple, rules, digest",
+    MODELS_DIGESTS,
+    ids=[f"{d},{l},{m} {r.__name__}" for (d, l, m), r, _ in MODELS_DIGESTS],
+)
+def test_models_digest(triple, rules, digest):
+    got = repr(models(validate_params(*triple), rules))
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 def test_perfbench_reference_data_is_current():

@@ -394,3 +394,15 @@ def test_verify_all_passes_at_every_admissible_triple_up_to_period_12():
         if (names := [c.name for c in verify.verify_all(validate_params(*triple)) if not c.ok])
     }
     assert failed == {}
+
+
+def test_verify_wide_passes_at_every_admissible_triple_with_l_from_3_up_to_period_24():
+    # l >= 3 keeps the frontier of `models` large and the enumeration small;
+    # at l = 2 the enumeration and the bar/unbar round trip dominate
+    triples = [t for t in admissible(24) if t[1] >= 3]
+    assert len(triples) == 26
+    failed = {
+        triple: names for triple in triples
+        if (names := [c.name for c in verify.verify_wide(validate_params(*triple)) if not c.ok])
+    }
+    assert failed == {}

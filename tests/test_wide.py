@@ -1,10 +1,12 @@
+import re
 from functools import cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from angulated import (
+    BadDistance,
     SubcatSpec,
     bar,
     closure_rules,
@@ -187,12 +189,25 @@ class TestBarUnbar:
 class TestSpecWindow:
     @pytest.mark.parametrize("index", [0, 13])
     def test_out_of_window_index_is_bad_distance(self, p449, index):
-        from angulated import BadDistance
-
-        with pytest.raises(BadDistance, match=f"index {index} outside"):
+        with pytest.raises(BadDistance, match=rf"^index {index} outside \[1, 12\]$"):
             SubcatSpec(p449, (1, index))
         with pytest.raises(ValueError):  # library callers see no change
             SubcatSpec(p449, (index,))
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ((1.5,), "index must be an integer, got 1.5"),
+            ((2.0,), "index must be an integer, got 2.0"),
+            ((True, 5), "index must be an integer, got True"),
+            (("3",), "index must be an integer, got '3'"),
+            ((13, 2.0), "index must be an integer, got 2.0"),  # before the window
+        ],
+        ids=["fractional-float", "integral-float", "bool", "string", "out-of-window-too"],
+    )
+    def test_non_integer_index_is_a_type_error(self, p449, indices, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            SubcatSpec(p449, indices)
 
 
 # the two small triples and the four verify-ladder triples (periods 4..12)
@@ -246,6 +261,52 @@ class TestRuleModels:
                 if all(sp.contains_pos(x) for x in r[0])
             ]
             assert list(rules(p449, sp.indices)) == inside
+
+
+def listed_rules(rule_list):
+    """A rule generator over a fixed list of (given, then) rules."""
+    def rules(params, members):
+        inside = set(members)
+        for given, then in rule_list:
+            if all((x - 1) % params.period + 1 in inside for x in given):
+                yield given, then
+    return rules
+
+
+def breaks_no_rule(params, members, rule_list):
+    index = lambda x: (x - 1) % params.period + 1
+    return not any(
+        all(index(x) in members for x in given)
+        and (then is None or not all(index(x) in members for x in then))
+        for given, then in rule_list
+    )
+
+
+@st.composite
+def random_rule_lists(draw):
+    """Rules on a few window indices moved by up to two periods either way,
+    so positions repeat, lie outside the window and share an index between
+    `given` and `then`; `then` is None about a third of the time."""
+    p = validate_params(*draw(st.sampled_from(admissible(10))))
+    pool = draw(st.lists(st.integers(1, p.period), min_size=1, max_size=5))
+    pos = st.builds(lambda q, s: q + s * p.period, st.sampled_from(pool), st.integers(-2, 2))
+    positions = st.lists(pos, max_size=4).map(tuple)
+    rule = st.tuples(positions, st.none() | positions | positions)
+    return p, draw(st.lists(rule, max_size=6))
+
+
+@given(random_rule_lists())
+@settings(max_examples=300, deadline=None)
+@example((validate_params(2, 2, 3), [((), None)]))  # a forbidden empty given breaks every set
+@example((validate_params(2, 3, 4), [((1, 7, -5), (7, 2)), ((8, 8), None)]))
+def test_models_of_arbitrary_rules_are_the_power_set_filter(case):
+    p, rule_list = case
+    window = range(1, p.period + 1)
+    brute = [
+        s for n in range(p.period + 1) for s in combinations(window, n)
+        if breaks_no_rule(p, set(s), rule_list)
+    ]
+    assert models(p, listed_rules(rule_list)) == sorted(brute)
 
 
 def reference_witness(spec):
