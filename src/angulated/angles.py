@@ -76,24 +76,20 @@ class Angle(Record):
     _fields = ("params", "objects", "maps")
 
     def __init__(self, params: FamilyParams, objects: tuple, maps: tuple):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "maps", maps)
-        self.__post_init__()
-
-    def __post_init__(self):
-        p = self.params
-        n = p.d + 2
-        if len(self.objects) != n or len(self.maps) != n:
+        n = params.d + 2
+        if len(objects) != n or len(maps) != n:
             raise ShapeMismatch(f"an angle needs {n} objects and {n} maps")
-        ends = [o.summands for o in self.objects]
-        _check_chain(p, [*ends, tuple(q + p.period for q in ends[0])], self.maps)
-        maps, zero = self.maps, [m.is_zero for m in self.maps]
+        ends = [o.summands for o in objects]
+        _check_chain(params, [*ends, tuple(q + params.period for q in ends[0])], maps)
+        zero = [m.is_zero for m in maps]
         for k in range(n - 1):
             if not (zero[k] or zero[k + 1] or compose(maps[k + 1], maps[k]).is_zero):
                 raise ValueError(f"consecutive maps {k}, {k + 1} do not compose to zero")
         if not (zero[0] or zero[-1] or compose(maps[0], shift_mor(maps[-1], -1)).is_zero):
             raise ValueError("wrap-around composite is nonzero")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "maps", maps)
 
     @property
     def connecting(self) -> Morphism:

@@ -66,7 +66,8 @@ class NotMember(DomainError):
 
 
 class Record:
-    """Base of the value classes: `_fields` names, in order, the fields its `__init__` sets."""
+    """Base of the value classes: `_fields` names, in order, the fields that
+    its one `__init__` writes, each once, after checking its arguments."""
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields)  # reads fields without building a __dict__
@@ -158,11 +159,7 @@ class SumObject(Record):
     _fields = ("summands",)
 
     def __init__(self, summands: tuple[int, ...] = ()):
-        object.__setattr__(self, "summands", summands)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(sorted(self.summands)))
+        object.__setattr__(self, "summands", tuple(sorted(summands)))
 
     @property
     def is_zero(self) -> bool:
@@ -240,26 +237,22 @@ class Morphism(Record):
     __hash__ = Record.__hash__  # the own `__eq__` below would otherwise unset it
 
     def __init__(self, params: FamilyParams, source: SumObject, target: SumObject, entries):
+        src, tgt = source.summands, target.summands
+        if not _check_cells(params, src, tgt, entries):
+            entries = tuple(
+                tuple(_exact(e, f"entry ({i}, {j})") for j, e in enumerate(row))
+                for i, row in enumerate(entries)
+            )
+            _check_cells(params, src, tgt, entries)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "entries", entries)
-        self.__post_init__()
 
     def __eq__(self, other):  # spelled out, ends compared as positions: a hot path
         return ((self.params, self.source.summands, self.target.summands, self.entries)
                 == (other.params, other.source.summands, other.target.summands, other.entries)
                 if other.__class__ is self.__class__ else NotImplemented)
-
-    def __post_init__(self):
-        src, tgt = self.source.summands, self.target.summands
-        if not _check_cells(self.params, src, tgt, self.entries):
-            ents = tuple(
-                tuple(_exact(e, f"entry ({i}, {j})") for j, e in enumerate(row))
-                for i, row in enumerate(self.entries)
-            )
-            object.__setattr__(self, "entries", ents)
-            _check_cells(self.params, src, tgt, ents)
 
     @property
     def is_zero(self) -> bool:

@@ -25,18 +25,14 @@ class SubcatSpec(Record):
     _fields = ("params", "indices")
 
     def __init__(self, params: FamilyParams, indices: tuple[int, ...]):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "indices", indices)
-        self.__post_init__()
-
-    def __post_init__(self):
-        for i in self.indices:
+        for i in indices:
             if not isinstance(i, int) or isinstance(i, bool):
                 raise TypeError(f"index must be an integer, got {i!r}")
-        idx = tuple(sorted(set(self.indices)))
+        idx = tuple(sorted(set(indices)))
         for i in idx:
-            if not 1 <= i <= self.params.period:
-                raise BadDistance(f"index {i} outside [1, {self.params.period}]")
+            if not 1 <= i <= params.period:
+                raise BadDistance(f"index {i} outside [1, {params.period}]")
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "indices", idx)
 
     def contains_pos(self, pos: int) -> bool:

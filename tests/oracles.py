@@ -29,7 +29,9 @@ that sweeps run at, from the definition rather than `validate_params`, and
 closed form instead of by enumerating them.
 `ar_angle_in_reference` builds a subcategory AR angle as the angle on its
 connector, its cover found by walking the quiver, instead of the
-library's merged progressions.
+library's merged progressions.  `op` carries objects, morphisms, angles
+and specs to the opposite category, so that each right-hand construction
+and checker is tested against its left-hand mirror.
 """
 
 from fractions import Fraction
@@ -40,6 +42,7 @@ from angulated import (
     Morphism,
     NotMember,
     ShapeMismatch,
+    SubcatSpec,
     SumObject,
     ZERO_OBJ,
     basis_mor,
@@ -125,6 +128,35 @@ def ar_angle_in_reference(spec, pos):
         if spec.contains_pos(w) and path_hom_dim(p, w, fbar)
     )
     return extend(basis_mor(p, pos, w + p.period))
+
+
+def op(x):
+    """The image of an object, morphism, angle or spec under pos -> -pos,
+    an isomorphism of the category with its opposite.
+
+    Hom(x, y) != 0 exactly when 0 <= y - x <= l - 1, which negating both
+    positions and swapping them keeps, and the shift by a period becomes
+    the shift back by one.  An object's positions are negated and reversed,
+    so they stay sorted.  A morphism runs from op of its target to op of
+    its source, its entries transposed with both index orders reversed.
+    An angle's objects and first d + 1 maps are reversed and sent by op;
+    op sends the connector one period down, so it is shifted back up.  A
+    spec's index i goes to -i mod period, 0 read as period.  Exactness and
+    vanishing composites ignore signs and d is even, so no sign is needed.
+    op is an involution.
+    """
+    if isinstance(x, SumObject):
+        return SumObject(tuple(-q for q in reversed(x.summands)))
+    if isinstance(x, Morphism):
+        ents = tuple(tuple(row[j] for row in reversed(x.entries))
+                     for j in reversed(range(len(x.source))))
+        return Morphism(x.params, op(x.target), op(x.source), ents)
+    if isinstance(x, Angle):
+        maps = [op(m) for m in reversed(x.maps[:-1])]
+        maps.append(shift_mor(op(x.maps[-1]), 1))
+        return Angle(x.params, tuple(map(op, reversed(x.objects))), tuple(maps))
+    per = x.params.period
+    return SubcatSpec(x.params, tuple(-i % per or per for i in x.indices))
 
 
 def add_mor(a, b):

@@ -274,13 +274,13 @@ class TestExtend:
                 lone = [rng.randint(-p.period, p.period) for _ in range(rng.randint(0, 3))]
                 connectors.append(matching_connector(p, pairs, lone[:1], lone[1:]))
         built = []
-        post_init = Angle.__post_init__
+        init = Angle.__init__
 
-        def counting(self):
+        def counting(self, *args):
             built.append(self)
-            post_init(self)
+            init(self, *args)
 
-        monkeypatch.setattr(Angle, "__post_init__", counting)
+        monkeypatch.setattr(Angle, "__init__", counting)
         for delta in connectors:
             built.clear()
             a = extend(delta)
@@ -299,13 +299,13 @@ class TestExtend:
         assert len(requests) == 100
         built = {Morphism: 0, SumObject: 0}
         for cls in built:
-            post_init = cls.__post_init__
+            init = cls.__init__
 
-            def counting(self, cls=cls, post_init=post_init):
+            def counting(self, *args, cls=cls, init=init):
                 built[cls] += 1
-                post_init(self)
+                init(self, *args)
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
+            monkeypatch.setattr(cls, "__init__", counting)
         extended = [
             extend(Morphism(p, SumObject(src), SumObject(tgt), ents))
             for p, (src, tgt, ents) in requests
@@ -655,6 +655,20 @@ class TestAngleValidation:
             Angle(p449, a.objects[:-1], a.maps)
         with pytest.raises(ShapeMismatch, match="6 objects and 6 maps"):
             Angle(p449, a.objects, a.maps + (a.maps[0],))
+
+    @pytest.mark.parametrize("short", ["objects", "maps"])
+    def test_wrong_length_message_in_full(self, p449, short):
+        a = min_angle(basis_mor(p449, 9, 10))
+        objects = a.objects[:-1] if short == "objects" else a.objects
+        maps = a.maps[:-1] if short == "maps" else a.maps
+        with pytest.raises(ShapeMismatch, match="^an angle needs 6 objects and 6 maps$"):
+            Angle(p449, objects, maps)
+
+    def test_chain_length_message_in_full(self, p449):
+        exact = d_exact_seq(p449, 3, 6)  # 6 objects, 5 maps
+        chain = FLevelChain(p449, "exact", exact.objects, exact.maps[:-1])
+        with pytest.raises(ShapeMismatch, match="^a chain of 6 objects needs 5 maps$"):
+            check_d_exact(chain)
 
     def test_map_over_other_parameters_rejected(self, p449, p223):
         # the identity on f1 is a valid matrix over both triples

@@ -40,6 +40,7 @@ from angulated import (
     validate_params,
     zero_mor,
 )
+from angulated.core import direct_sum_mor
 
 from oracles import (
     admissible,
@@ -313,6 +314,18 @@ class TestEqualParameterRecords:
             return
         with pytest.raises(ShapeMismatch, match=f"^{message}$"):
             compose(g, basis_mor(p449, 1, 2))
+
+    @pytest.mark.parametrize("triple, message", [
+        ((4, 4, 9), None), ((2, 2, 3), "morphisms live over different parameters"),
+    ])
+    def test_direct_sum_mor(self, p449, triple, message):
+        f, g = basis_mor(p449, 1, 2), basis_mor(FamilyParams(*triple), 3, 4)
+        if message is None:
+            want = Morphism(p449, SumObject((1, 3)), SumObject((2, 4)), ((1, 0), (0, 1)))
+            assert direct_sum_mor(f, g) == want
+            return
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            direct_sum_mor(f, g)
 
     @pytest.mark.parametrize("triple, message", [
         ((4, 4, 9), None),

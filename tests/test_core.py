@@ -401,6 +401,14 @@ class TestMorphismValidation:
             with pytest.raises(ShapeMismatch, match=f"^{re.escape(want)}$"):
                 Morphism(p449, src, tgt, ents)
 
+    def test_support_message_skips_the_allowed_cells_at_both_band_ends(self, p449):
+        # l = 4: the cells at distance 3 and at distance 0 are allowed, so
+        # the message names the third cell, whose Hom space vanishes
+        one = Fraction(1)
+        want = "entry (0, 2) nonzero but Hom(9 -> 5) = 0"
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(want)}$"):
+            Morphism(p449, SumObject((2, 5, 9)), indec(5), ((one, one, one),))
+
     def test_first_failing_cell_decides_the_error(self, p449):
         # Cells are scanned row by row: an inexact cell raises TypeError and
         # a nonzero cell whose Hom space vanishes ShapeMismatch, whichever
@@ -421,6 +429,20 @@ class TestMorphismValidation:
         # within one row: the violation at (0, 0) comes before the float
         with pytest.raises(ShapeMismatch, match=re.escape("entry (0, 0)")):
             Morphism(p449, SumObject((1, 3, 5)), indec(5), ((one, 0.5, one),))
+
+    @pytest.mark.parametrize(
+        "ents, error, message",
+        [
+            (((1, 0),), ShapeMismatch, "entry matrix must be 2 x 2"),
+            (((1, 0), (0,)), ShapeMismatch, "entry matrix must be 2 x 2"),
+            (((1, 0), (0.5, 1)), TypeError,
+             "entry (1, 0) must be an int or a Fraction, got 0.5"),
+        ],
+        ids=["row-count", "row-length", "inexact-cell"],
+    )
+    def test_messages_in_full(self, p449, ents, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Morphism(p449, SumObject((1, 2)), SumObject((2, 3)), ents)
 
     def test_inexact_entries_rejected(self, p449):
         from decimal import Decimal

@@ -18,13 +18,17 @@ the internals of the construction it checks.  Every public function of the
 elimination kernel `linalg` is called by another package module, so a
 kernel helper kept alive only by a test import is caught.  A cold
 `import angulated.cli` loads none of the introspection modules that
-`dataclasses` pulls in.
+`dataclasses` pulls in.  A record is built in one step: no package class
+defines `__post_init__`, and each constructor that perfbench's tracer wraps
+is its class's own `__init__`.
 """
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+from angulated import Angle, Morphism, SubcatSpec, SumObject
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "angulated").glob("*.py"))
@@ -319,3 +323,28 @@ def test_cold_import_of_the_cli_loads_no_introspection_module():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
+
+
+def classes_defining(source: str, method: str) -> list[str]:
+    """Names of the classes in `source` whose own body defines `method`."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(f, ast.FunctionDef) and f.name == method for f in node.body)]
+
+
+def test_checker_flags_a_class_defining_a_method():
+    src = ("class A:\n    def __post_init__(self):\n        pass\n\n"
+           "class B:\n    def __init__(self):\n        pass\n\n"
+           "def __post_init__():\n    pass\n")
+    assert classes_defining(src, "__post_init__") == ["A"]
+
+
+def test_records_are_checked_and_set_in_their_one_init():
+    found = {
+        path.name: names for path in PACKAGE
+        if (names := classes_defining(path.read_text(), "__post_init__"))
+    }
+    assert found == {}
+    # perfbench's tracer wraps `vars(cls)["__init__"]` of these four
+    assert [cls.__name__ for cls in (SumObject, Morphism, Angle, SubcatSpec)
+            if "__init__" not in vars(cls)] == []

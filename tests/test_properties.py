@@ -55,6 +55,7 @@ from angulated.core import direct_sum_mor, left_factor, right_factor, scale
 from angulated.verify import _is_shift
 
 from oracles import (
+    admissible,
     angle_composite_failure,
     block_iso_oracle,
     d_cokernel_reference,
@@ -68,6 +69,7 @@ from oracles import (
     hom_into_inexact_slots,
     left_almost_split_reference,
     matching_connector,
+    op,
     precover_reference,
     right_almost_split_reference,
     right_minimal_reference,
@@ -643,6 +645,29 @@ def test_factors_match_the_whole_cell_reference(p, data):
     got, want = left_factor(f, t), factor_reference(f, t, "left")
     assert got == want
     assert composite <= (got is not None)
+
+
+@given(st.sampled_from([validate_params(*t) for t in admissible(12)]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_right_and_left_factors_agree_through_op(p, data):
+    # op(g) is a left factor of op(t) along op(f) exactly when g is a right
+    # factor of t through f; factors are not unique, so each side is judged
+    # by its equation.  Half of the targets are composites, which factor.
+    base = data.draw(st.integers(-2 * p.period, 2 * p.period))
+    a, b, c = (_draw_wide_sum(data, p, base) for _ in range(3))
+    composite = data.draw(st.booleans())
+    f = _draw_mor(data, p, b, c)
+    t = compose(f, _draw_mor(data, p, a, b)) if composite else _draw_mor(data, p, a, c)
+    g, h = right_factor(f, t), left_factor(op(f), op(t))
+    assert (g is None) == (h is None) and composite <= (g is not None)
+    if g is not None:
+        assert compose(op(g), op(f)) == op(t) and compose(h, op(f)) == op(t)
+    f = _draw_mor(data, p, a, b)
+    t = compose(_draw_mor(data, p, b, c), f) if composite else _draw_mor(data, p, a, c)
+    g, h = left_factor(f, t), right_factor(op(f), op(t))
+    assert (g is None) == (h is None) and composite <= (g is not None)
+    if g is not None:
+        assert compose(op(f), op(g)) == op(t) and compose(op(f), h) == op(t)
 
 
 @given(st.sampled_from(SESSION_PARAMS), st.data())
