@@ -39,7 +39,6 @@ from .core import (
     _ZERO,
     _cells,
     _exact,
-    basis_mor,
     compose,
     direct_sum_mor,
     indec,
@@ -101,14 +100,15 @@ def _contractible(params: FamilyParams, y: SumObject, k: int, c=1):
 
     Slot k is the map objects[k] -> objects[k+1], so objects[k] and
     objects[k+1] are y; for k = d + 1 the map is the connector and
-    objects[0] is shift(y, -1).  Every other object and map is zero.  The
-    one map c*id_y is a single Morphism; an inexact c raises TypeError.
+    objects[0] is shift(y, -1), and y itself is the connector's target.
+    Every other object and map is zero.  The one map c*id_y is a single
+    Morphism; an inexact c raises TypeError.
     """
     n, c = params.d + 2, _exact(c, "scalar")
     objects = [ZERO_OBJ] * n
     objects[k] = y
     objects[(k + 1) % n] = y if k + 1 < n else shift_obj(params, y, -1)
-    targets = objects[1:] + [shift_obj(params, objects[0], 1)]
+    targets = objects[1:] + [y if k + 1 == n else shift_obj(params, objects[0], 1)]
     zero = zero_mor(params, ZERO_OBJ, ZERO_OBJ)  # immutable, so shared by its slots
     cid = tuple(tuple(c if i == j else _ZERO for j in range(len(y))) for i in range(len(y)))
     maps = tuple(
@@ -196,7 +196,9 @@ def min_angle(mu: Morphism) -> Angle:
     source - r*l for 0 <= r <= d/2, sorted increasingly, with mu occupying
     the last slot before the connecting map; the connecting map is the
     basis morphism of distance l - D.  Distance 0 yields the contractible
-    angle on the isomorphism mu.
+    angle on the isomorphism mu.  Each map is built on the angle's own
+    objects, the ends of mu among them, and only the connector's target,
+    the shifted first object, is made for it.
     """
     p = mu.params
     if not (mu.source.is_indec and mu.target.is_indec and mu.entries[0][0]):
@@ -205,9 +207,11 @@ def min_angle(mu: Morphism) -> Angle:
     if x == y:
         return trivial_angle(p, mu.source, mu.entries[0][0])
     positions = _min_positions(p, x, y)
-    maps = [basis_mor(p, a, b) for a, b in zip(positions, positions[1:-1])]
-    maps += [mu, basis_mor(p, y, positions[0] + p.period)]  # mu in slot d
-    return Angle(p, tuple(indec(q) for q in positions), tuple(maps))
+    objects = (*map(indec, positions[:-2]), mu.source, mu.target)
+    ends = (*objects, indec(positions[0] + p.period))
+    maps = tuple(mu if k == p.d else Morphism(p, a, b, ((_ONE,),))  # mu in slot d
+                 for k, (a, b) in enumerate(zip(ends, ends[1:])))
+    return Angle(p, objects, maps)
 
 
 def extend(delta: Morphism) -> Angle:
@@ -290,7 +294,7 @@ def _ladder(params: FamilyParams, kind: str, i: int, j: int) -> FLevelChain:
     follows f_i.  With d zeros on each side, the d-kernel is its d+1
     objects ending at f_i and the d-cokernel its d+1 objects starting at
     f_j.  Neighbouring vertices are joined by basis morphisms, anything
-    else by zero maps.
+    else by zero maps, each built on the chain's own objects.
     """
     if not (1 <= i <= params.period and 1 <= j <= params.period):
         raise BadDistance(f"indices must lie in [1, {params.period}]")
@@ -304,7 +308,7 @@ def _ladder(params: FamilyParams, kind: str, i: int, j: int) -> FLevelChain:
     objects = tuple(row[start:start + d + 1 + (kind == "exact")])
     maps = tuple(
         zero_mor(params, a, b) if a.is_zero or b.is_zero
-        else basis_mor(params, a.summands[0], b.summands[0])
+        else Morphism(params, a, b, ((_ONE,),))
         for a, b in zip(objects, objects[1:])
     )
     return FLevelChain(params, kind, objects, maps)

@@ -130,7 +130,7 @@ def is_right_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
         raise NotMember(f"target at position {pos} is not a member")
     if not spec.contains_obj(xi.source) or is_split_epi(xi):
         return False
-    ws = SumObject(tuple(filter(spec.contains_pos, range(pos - spec.params.l + 1, pos))))
+    ws = tuple(filter(spec.contains_pos, range(pos - spec.params.l + 1, pos)))
     return _right_solve(xi, ws, ((_ONE,) * len(ws),)) is not None
 
 
@@ -151,7 +151,7 @@ def is_left_almost_split(spec: SubcatSpec, xi: Morphism) -> bool:
         raise NotMember(f"source at position {pos} is not a member")
     if not spec.contains_obj(xi.target) or is_split_mono(xi):
         return False
-    ws = SumObject(tuple(filter(spec.contains_pos, range(pos + 1, pos + spec.params.l))))
+    ws = tuple(filter(spec.contains_pos, range(pos + 1, pos + spec.params.l)))
     return _left_solve(xi, ws, ((_ONE,),) * len(ws)) is not None
 
 
@@ -192,7 +192,7 @@ def is_precover(spec: SubcatSpec, xi: Morphism) -> bool:
     cols = sorted((w, i) for i, q in enumerate(tgt) for w in range(q - l + 1, q + 1)
                   if spec.contains_pos(w))
     rhs = tuple(tuple(_ONE if i == r else _ZERO for _, i in cols) for r in range(len(tgt)))
-    return _right_solve(xi, SumObject(tuple(w for w, _ in cols)), rhs) is not None
+    return _right_solve(xi, tuple(w for w, _ in cols), rhs) is not None
 
 
 def is_cover(spec: SubcatSpec, xi: Morphism) -> bool:

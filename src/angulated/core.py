@@ -395,15 +395,16 @@ def _right_column(f: Morphism, q: int):
     return ks, eqs, [f.entries[i][ks.start:ks.stop] for i in eqs]
 
 
-def _right_solve(f: Morphism, a: SumObject, rhs):
-    """Entries of one g: a -> source(f) with f o g = rhs, or None.
+def _right_solve(f: Morphism, a: tuple[int, ...], rhs):
+    """Entries of one g: a -> source(f) with f o g = rhs, or None; `a` holds
+    the positions of g's source, so a test object is never built.
 
     Column j of f o g reads only column j of g, so the system is one small
     system per column, solved with its free cells at zero: the factor the
     whole system would give, whose pivots are the union of the columns'.
     """
     ents = [[_ZERO] * len(a) for _ in range(len(f.source))]
-    for j, q in enumerate(a.summands):
+    for j, q in enumerate(a):
         ks, eqs, rows = _right_column(f, q)
         sol = linalg.solve(rows, [rhs[i][j] for i in eqs], len(ks))
         if sol is None:
@@ -413,8 +414,9 @@ def _right_solve(f: Morphism, a: SumObject, rhs):
     return ents
 
 
-def _left_solve(f: Morphism, c: SumObject, rhs):
-    """Entries of one g: target(f) -> c with g o f = rhs, or None.
+def _left_solve(f: Morphism, c: tuple[int, ...], rhs):
+    """Entries of one g: target(f) -> c with g o f = rhs, or None; `c` holds
+    the positions of g's target.
 
     The mirror of `_right_solve`: row i of g o f reads only row i of g, so
     the system is one small system per row, at position q = c_i, over the
@@ -425,7 +427,7 @@ def _left_solve(f: Morphism, c: SumObject, rhs):
     lmax = f.params.l - 1
     src, tgt = f.source.summands, f.target.summands
     ents = []
-    for i, q in enumerate(c.summands):
+    for i, q in enumerate(c):
         ks = range(bisect_left(tgt, q - lmax), bisect_right(tgt, q))
         eqs = range(bisect_left(src, q - lmax), bisect_right(src, q))
         rows = [[f.entries[k][j] for k in ks] for j in eqs]
@@ -443,7 +445,7 @@ def right_factor(f: Morphism, t: Morphism) -> Morphism | None:
     """A morphism g with f o g = t, or None when t does not factor through f."""
     if f.params is not t.params and f.params != t.params or f.target.summands != t.target.summands:
         raise ShapeMismatch("right_factor needs target(f) = target(t)")
-    ents = _right_solve(f, t.source, t.entries)
+    ents = _right_solve(f, t.source.summands, t.entries)
     if ents is None:
         return None
     return Morphism(f.params, t.source, f.source, tuple(map(tuple, ents)))
@@ -453,18 +455,18 @@ def left_factor(f: Morphism, t: Morphism) -> Morphism | None:
     """A morphism g with g o f = t, or None when t does not extend along f."""
     if f.params is not t.params and f.params != t.params or f.source.summands != t.source.summands:
         raise ShapeMismatch("left_factor needs source(f) = source(t)")
-    ents = _left_solve(f, t.target, t.entries)
+    ents = _left_solve(f, t.target.summands, t.entries)
     if ents is None:
         return None
     return Morphism(f.params, f.target, t.target, tuple(map(tuple, ents)))
 
 
 def is_split_epi(f: Morphism) -> bool:
-    return _right_solve(f, f.target, _eye(len(f.target))) is not None
+    return _right_solve(f, f.target.summands, _eye(len(f.target))) is not None
 
 
 def is_split_mono(f: Morphism) -> bool:
-    return _left_solve(f, f.source, _eye(len(f.source))) is not None
+    return _left_solve(f, f.source.summands, _eye(len(f.source))) is not None
 
 
 def is_iso(f: Morphism) -> bool:

@@ -9,7 +9,9 @@ become `Fraction(numerator, pivot)`.  The reduced row echelon form is
 unique, so every result equals the one elimination over `Fraction` gives.
 Matrices are lists of rows of `int` or `Fraction` entries; an empty list
 is the unique matrix with zero rows.  Functions that cannot infer the number of
-columns from the data take it explicitly.  No matrix product lives here:
+columns from the data take it explicitly.  A system with no unknowns is
+solvable exactly when its right side vanishes, so `solve` answers it
+without an elimination.  No matrix product lives here:
 `compose` and the Hom-exactness test share the masked product `core._cells`.
 """
 
@@ -17,6 +19,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
+
+_ZERO = Fraction(0)
 
 
 def _reduce(rows: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -67,13 +71,17 @@ def solve(rows: Matrix, rhs: list[Fraction], nunknowns: int) -> list[Fraction] |
     """One solution of rows * x = rhs, or None if inconsistent.
 
     Free variables are set to zero.  `rows` may be empty (no constraints).
+    A system with no unknowns is solvable exactly when its right side
+    vanishes; it is answered from `rhs` alone, with no elimination.
     """
     if len(rows) != len(rhs):
         raise ValueError("rhs length must match the number of rows")
+    if not nunknowns:
+        return None if any(rhs) else []
     red, pivots = _reduce([[*r, b] for r, b in zip(rows, rhs)])
     if nunknowns in pivots:
         return None  # pivot in the constant column: 0 = 1
-    sol = [Fraction(0)] * nunknowns
+    sol = [_ZERO] * nunknowns
     for row, c in zip(red, pivots):
         sol[c] = Fraction(row[-1], row[c])
     return sol

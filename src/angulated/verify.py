@@ -178,8 +178,9 @@ def verify_angles(params: FamilyParams) -> list[Check]:
     def judge(case):
         i, j = case
         mu = basis_mor(params, i, j)
-        a = b = min_angle(mu)
-        for _ in range(d + 2):
+        a = min_angle(mu)
+        b = left = rotate_left(a)  # also the rotation that rotate_right must undo
+        for _ in range(d + 1):
             b = rotate_left(b)
         nonzero = [o for o in a.objects if not o.is_zero]
         return (
@@ -187,7 +188,7 @@ def verify_angles(params: FamilyParams) -> list[Check]:
             and all(is_radical(a.maps[k]) for k in range(1, d))
             and not a.connecting.is_zero and _is_shift(min_angle(shift_mor(mu, 1)), a, 1),
             check_hom_exactness(a).ok,
-            rotate_left(rotate_right(a)) == a == rotate_right(rotate_left(a))
+            rotate_left(rotate_right(a)) == a == rotate_right(left)
             and _is_shift(b, a, 1),
             j > per or (
                 check_d_exact(seq := d_exact_seq(params, i, j))

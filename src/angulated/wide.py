@@ -25,6 +25,7 @@ class SubcatSpec(Record):
     _fields = ("params", "indices")
 
     def __init__(self, params: FamilyParams, indices: tuple[int, ...]):
+        indices = tuple(indices)  # read once: an iterator is used up by one pass
         for i in indices:
             if not isinstance(i, int) or isinstance(i, bool):
                 raise TypeError(f"index must be an integer, got {i!r}")

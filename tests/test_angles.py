@@ -48,11 +48,14 @@ from oracles import (
     admissible,
     angle_composite_failure,
     angle_objects,
+    d_kernel_reference,
     extend_reference,
     hom_exactness_reference,
     matching_connector,
     with_map_zeroed,
 )
+
+LADDER = ((4, 4, 9), (2, 6, 7), (6, 3, 10), (10, 2, 11))  # the verify ladder
 
 
 def _gate_exactness_requests():
@@ -185,6 +188,12 @@ class TestMinAngle:
         with pytest.raises(BadDistance):
             min_angle(zero_mor(p449, SumObject((1, 2)), indec(2)))
 
+    def test_bad_distance_message_in_full(self, p449):
+        with pytest.raises(
+            BadDistance, match="^min_angle needs a nonzero morphism between single vertices$"
+        ):
+            min_angle(zero_mor(p449, indec(1), indec(2)))
+
     def test_structure_of_every_admissible_angle(self, any_params):
         p = any_params
         for i in range(1, p.period + 1):
@@ -206,6 +215,23 @@ class TestMinAngle:
                 assert all(is_radical(a.maps[k]) for k in range(1, p.d))
                 assert not a.connecting.is_zero
                 assert min_angle(shift_mor(mu, 2)) == shift_angle(a, 2)
+
+    @pytest.mark.parametrize("triple", LADDER)
+    def test_maps_are_built_on_the_angles_own_objects(self, triple):
+        # min_angle and the window chains make no second copy of an end
+        p = validate_params(*triple)
+        for i in range(1, p.period + 1):
+            for j in range(i + 1, i + p.l):
+                a = min_angle(basis_mor(p, i, j))
+                for k in range(p.d + 1):
+                    assert a.maps[k].source is a.objects[k]
+                    assert a.maps[k].target is a.objects[k + 1]
+                assert a.maps[p.d + 1].source is a.objects[p.d + 1]
+                if j <= p.period:
+                    seq = d_exact_seq(p, i, j)
+                    for k, mor in enumerate(seq.maps):
+                        assert mor.source is seq.objects[k]
+                        assert mor.target is seq.objects[k + 1]
 
     def test_exactness_of_every_admissible_angle(self, p449):
         for i in range(1, p449.period + 1):
@@ -442,8 +468,21 @@ class TestWindowChains:
             d_cokernel(p449, 3, 7)  # distance l
         with pytest.raises(BadDistance, match=r"^need 1 <= j - i <= 3, got -1$"):
             d_cokernel(p449, 2, 1)  # j = 1 lies in the window
+        with pytest.raises(BadDistance, match=r"^need 1 <= j - i <= 3, got -7$"):
+            d_kernel(p449, 12, 5)  # i = period lies in the window
         with pytest.raises(BadDistance, match=r"^indices must lie in \[1, 12\]$"):
             d_exact_seq(p449, 0, 2)
+
+    def test_nonzero_composite_alone_fails(self, p223):
+        # 0 -> f1 -> f1 + f1 -> f1 + f1: the ranks add up at the middle
+        # object (1 + 1 = 2), but the composite is the second unit vector,
+        # a row past the one summand of f1, so only out o in = 0 fails
+        a, b = indec(1), SumObject((1, 1))
+        f = Morphism(p223, a, b, ((0,), (1,)))
+        g = Morphism(p223, b, b, ((0, 0), (0, 1)))
+        chain = FLevelChain(p223, "kernel", (a, b), (f,))
+        assert not d_kernel_reference(chain, g)
+        assert not check_d_kernel(chain, g)
 
     def test_tampered_chain_fails(self, p449):
         chain = d_kernel(p449, 3, 6)

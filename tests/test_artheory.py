@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,29 @@ class TestLeftAlmostSplit:
             is_left_almost_split(full_spec(p449), identity_mor(p449, SumObject((4, 5))))
 
 
+class TestCheckerMessages:
+    @pytest.mark.parametrize(
+        "checker, indices, obj, message",
+        [
+            (is_right_almost_split, None, SumObject((4, 5)),
+             "right almost split test needs a single vertex target"),
+            (is_right_almost_split, SINGLE_CLASS, indec(2), "target at position 2 is not a member"),
+            (is_left_almost_split, None, SumObject((4, 5)),
+             "left almost split test needs a single vertex source"),
+            (is_left_almost_split, SINGLE_CLASS, indec(2), "source at position 2 is not a member"),
+        ],
+        ids=["right-sum", "right-nonmember", "left-sum", "left-nonmember"],
+    )
+    def test_almost_split_messages_in_full(self, p449, checker, indices, obj, message):
+        sp = full_spec(p449) if indices is None else SubcatSpec(p449, indices)
+        with pytest.raises(NotMember, match=f"^{re.escape(message)}$"):
+            checker(sp, identity_mor(p449, obj))
+
+    def test_ar_angle_membership_message_in_full(self, p449):
+        with pytest.raises(NotMember, match="^angle has objects outside the subcategory$"):
+            is_ar_angle(SubcatSpec(p449, SINGLE_CLASS), ar_angle(p449, 5))
+
+
 def _library_and_reference(checker, reference):
     return pytest.mark.parametrize("check", [checker, reference], ids=["library", "reference"])
 
@@ -418,6 +442,26 @@ class TestCheckerWork:
         a = ar_angle(p449, 5)
         assert is_right_almost_split(full_spec(p449), a.maps[p449.d])
         assert len(solves) == 1 + 3
+
+
+    def test_checkers_build_no_test_object(self, p449, monkeypatch):
+        # the test positions reach the factor systems as a tuple of positions
+        a, full = ar_angle(p449, 5), full_spec(p449)
+        cov = cover(SubcatSpec(p449, PERIODIC), 4)
+        built = []
+        init = SumObject.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(SumObject, "__init__", counting)
+        assert is_right_almost_split(full, a.maps[p449.d])
+        assert is_left_almost_split(full, a.maps[0])
+        assert is_precover(SubcatSpec(p449, PERIODIC), cov.mor)
+        assert built == []
+        SumObject((1,))
+        assert built == [((1,),)]  # the counter counts
 
 
 class TestIsArAngle:

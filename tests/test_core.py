@@ -181,6 +181,20 @@ class TestCompose:
         with pytest.raises(ShapeMismatch):
             operation(u12, basis_mor(p449, 3, 4))
 
+    @pytest.mark.parametrize(
+        "operation, message",
+        [
+            (compose, "compose needs target(f) = source(g)"),
+            (right_factor, "right_factor needs target(f) = target(t)"),
+            (left_factor, "left_factor needs source(f) = source(t)"),
+        ],
+        ids=["compose", "right_factor", "left_factor"],
+    )
+    def test_end_messages_in_full(self, p449, operation, message):
+        # u(1 -> 2) against u(3 -> 4): no end of one meets an end of the other
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            operation(basis_mor(p449, 1, 2), basis_mor(p449, 3, 4))
+
     def test_factor_and_sum_gates_compare_no_object_or_record(self, p449, monkeypatch):
         # the gates of right_factor, left_factor and direct_sum_mor compare
         # position tuples, and the parameter record by identity, so no

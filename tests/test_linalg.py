@@ -13,6 +13,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from angulated import linalg
 from angulated.linalg import nullspace, rank, solve
 
 entries_st = st.builds(
@@ -107,6 +108,28 @@ class TestEdgeCases:
         assert solve(rows, [Fraction(0)] * 3, 0) == []
         assert solve(rows, [Fraction(0), Fraction(2, 3), Fraction(0)], 0) is None
         assert nullspace(rows, 0) == []
+
+    @pytest.mark.parametrize(
+        "rows, rhs, expected",
+        [
+            ([], [], []),
+            ([[]], [Fraction(0)], []),
+            ([[], [], []], [Fraction(0)] * 3, []),
+            ([[]], [Fraction(-1)], None),
+            ([[], [], []], [Fraction(0), Fraction(2, 3), Fraction(0)], None),
+        ],
+        ids=["no-rows", "empty-row-zero", "empty-rows-zero", "empty-row-nonzero",
+             "empty-rows-nonzero"],
+    )
+    def test_no_unknowns_are_answered_without_elimination(self, monkeypatch, rows, rhs,
+                                                          expected):
+        # a system with no unknowns is solvable exactly when its right side vanishes
+        calls, reduce = [], linalg._reduce
+        monkeypatch.setattr(linalg, "_reduce", lambda m: calls.append(m) or reduce(m))
+        assert solve(rows, rhs, 0) == expected
+        assert calls == []
+        assert solve([[Fraction(1)]], [Fraction(2)], 1) == [2]
+        assert len(calls) == 1  # the spy counts
 
     def test_inconsistent(self):
         rows = [[Fraction(1), Fraction(1, 2)], [Fraction(2), Fraction(1)]]

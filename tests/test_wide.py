@@ -194,6 +194,11 @@ class TestSpecWindow:
         with pytest.raises(ValueError):  # library callers see no change
             SubcatSpec(p449, (index,))
 
+    def test_one_shot_iterables_are_read_once(self, p449):
+        assert SubcatSpec(p449, (i for i in (5, 1))).indices == (1, 5)
+        with pytest.raises(BadDistance, match=r"^index 13 outside \[1, 12\]$"):
+            SubcatSpec(p449, iter([13]))
+
     @pytest.mark.parametrize(
         "indices, message",
         [
