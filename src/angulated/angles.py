@@ -39,6 +39,7 @@ from .core import (
     _ZERO,
     _cells,
     _exact,
+    _eye,
     compose,
     direct_sum_mor,
     indec,
@@ -95,45 +96,45 @@ class Angle(Record):
         return self.maps[-1]
 
 
-def _contractible(params: FamilyParams, y: SumObject, k: int, c=1):
-    """Objects and maps of the contractible chain with c*id_y in slot k.
-
-    Slot k is the map objects[k] -> objects[k+1], so objects[k] and
-    objects[k+1] are y; for k = d + 1 the map is the connector and
-    objects[0] is shift(y, -1), and y itself is the connector's target.
-    Every other object and map is zero.  The one map c*id_y is a single
-    Morphism; an inexact c raises TypeError.
-    """
-    n, c = params.d + 2, _exact(c, "scalar")
-    objects = [ZERO_OBJ] * n
-    objects[k] = y
-    objects[(k + 1) % n] = y if k + 1 < n else shift_obj(params, y, -1)
-    targets = objects[1:] + [y if k + 1 == n else shift_obj(params, objects[0], 1)]
-    zero = zero_mor(params, ZERO_OBJ, ZERO_OBJ)  # immutable, so shared by its slots
-    cid = tuple(tuple(c if i == j else _ZERO for j in range(len(y))) for i in range(len(y)))
-    maps = tuple(
-        Morphism(params, y, y, cid) if s == k
-        else zero if not (src.summands or tgt.summands)
-        else zero_mor(params, src, tgt)
-        for s, (src, tgt) in enumerate(zip(objects, targets))
-    )
-    return tuple(objects), maps
+def _vertex_maps(params: FamilyParams, ends) -> tuple:
+    """The maps joining consecutive `ends`, each zero or one vertex: the
+    basis map with coefficient 1 between two vertices, a zero map
+    otherwise, built on the ends themselves.  One zero map serves every
+    0 -> 0 slot, made at the first one."""
+    maps, zero = [], None
+    for a, b in zip(ends, ends[1:]):
+        if a.summands and b.summands:
+            maps.append(Morphism(params, a, b, ((_ONE,),)))
+        elif a.summands or b.summands:
+            maps.append(zero_mor(params, a, b))
+        else:
+            zero = zero or zero_mor(params, a, b)  # immutable, so shared by its slots
+            maps.append(zero)
+    return tuple(maps)
 
 
 def trivial_angle(params: FamilyParams, x: SumObject, c=1) -> Angle:
-    """x --c*id--> x -> 0 -> ... -> 0 -> shift(x); contractible for c != 0."""
-    return Angle(params, *_contractible(params, x, 0, c))
+    """x --c*id--> x -> 0 -> ... -> 0 -> shift(x); contractible for c != 0.
+    An inexact c raises TypeError."""
+    cid = Morphism(params, x, x, _eye(len(x), _exact(c, "scalar")))
+    zero = zero_mor(params, ZERO_OBJ, ZERO_OBJ)  # immutable, so shared by the 0 -> 0 slots
+    maps = (cid, zero_mor(params, x, ZERO_OBJ), *(zero,) * (params.d - 1),
+            zero_mor(params, ZERO_OBJ, shift_obj(params, x, 1)))
+    return Angle(params, (x, x, *(ZERO_OBJ,) * params.d), maps)
 
 
 def _degenerate_angle(params: FamilyParams, pos: int) -> Angle:
     """shift(x, -1) -> 0 -> ... -> 0 -> x with connecting map id on x = f_pos.
 
     This is rotate_left(trivial_angle(params, indec(pos - period))), built
-    directly as the contractible chain with id in the connector slot,
-    because the rotation validates a second angle of d + 2 maps.  It is the
-    AR angle of a subcategory in the degenerate case.
+    directly, because the rotation validates a second angle of d + 2 maps:
+    `_vertex_maps` joins the ends (x - period, 0, ..., 0, x, x), so the
+    last map, u(x -> x), is the identity.  It is the AR angle of a
+    subcategory in the degenerate case.
     """
-    return Angle(params, *_contractible(params, indec(pos), params.d + 1))
+    x = indec(pos)
+    ends = (indec(pos - params.period), *(ZERO_OBJ,) * params.d, x, x)
+    return Angle(params, ends[:-1], _vertex_maps(params, ends))
 
 
 def rotate_left(a: Angle) -> Angle:
@@ -196,9 +197,10 @@ def min_angle(mu: Morphism) -> Angle:
     source - r*l for 0 <= r <= d/2, sorted increasingly, with mu occupying
     the last slot before the connecting map; the connecting map is the
     basis morphism of distance l - D.  Distance 0 yields the contractible
-    angle on the isomorphism mu.  Each map is built on the angle's own
-    objects, the ends of mu among them, and only the connector's target,
-    the shifted first object, is made for it.
+    angle on the isomorphism mu.  `_vertex_maps` joins the objects before
+    slot d and, after mu, makes the connector; each map is built on the
+    angle's own objects, the ends of mu among them, and only the
+    connector's target, the shifted first object, is made for it.
     """
     p = mu.params
     if not (mu.source.is_indec and mu.target.is_indec and mu.entries[0][0]):
@@ -208,10 +210,8 @@ def min_angle(mu: Morphism) -> Angle:
         return trivial_angle(p, mu.source, mu.entries[0][0])
     positions = _min_positions(p, x, y)
     objects = (*map(indec, positions[:-2]), mu.source, mu.target)
-    ends = (*objects, indec(positions[0] + p.period))
-    maps = tuple(mu if k == p.d else Morphism(p, a, b, ((_ONE,),))  # mu in slot d
-                 for k, (a, b) in enumerate(zip(ends, ends[1:])))
-    return Angle(p, objects, maps)
+    connector = _vertex_maps(p, (mu.target, indec(positions[0] + p.period)))
+    return Angle(p, objects, (*_vertex_maps(p, objects[:-1]), mu, *connector))
 
 
 def extend(delta: Morphism) -> Angle:
@@ -293,8 +293,8 @@ def _ladder(params: FamilyParams, kind: str, i: int, j: int) -> FLevelChain:
     positions congruent to i or j mod l, and the gap law holds, so f_j
     follows f_i.  With d zeros on each side, the d-kernel is its d+1
     objects ending at f_i and the d-cokernel its d+1 objects starting at
-    f_j.  Neighbouring vertices are joined by basis morphisms, anything
-    else by zero maps, each built on the chain's own objects.
+    f_j.  `_vertex_maps` joins the chain's own objects: neighbouring
+    vertices by basis morphisms, anything else by zero maps.
     """
     if not (1 <= i <= params.period and 1 <= j <= params.period):
         raise BadDistance(f"indices must lie in [1, {params.period}]")
@@ -306,12 +306,7 @@ def _ladder(params: FamilyParams, kind: str, i: int, j: int) -> FLevelChain:
     at_i = d + positions.index(i)
     start = {"kernel": at_i - d, "cokernel": at_i + 1, "exact": d}[kind]
     objects = tuple(row[start:start + d + 1 + (kind == "exact")])
-    maps = tuple(
-        zero_mor(params, a, b) if a.is_zero or b.is_zero
-        else Morphism(params, a, b, ((_ONE,),))
-        for a, b in zip(objects, objects[1:])
-    )
-    return FLevelChain(params, kind, objects, maps)
+    return FLevelChain(params, kind, objects, _vertex_maps(params, objects))
 
 
 def d_kernel(params: FamilyParams, i: int, j: int) -> FLevelChain:

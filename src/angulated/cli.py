@@ -10,6 +10,7 @@ parse (an object, a subcategory index, a config value) is a usage error;
 a parsed value outside its range (`f13` or `--sub 13` at period 12) is the
 domain error `BadDistance`.  `verify` exits 1 when a check fails; a check
 whose case raises fails with the case and exception class as its detail.
+A closed stdout (`| head`) exits 1 quietly, with nothing on stderr.
 
 Each subcommand is one handler that returns its JSON document and its
 text rendering; the parser attaches it to the subcommand's subparser, and
@@ -22,6 +23,7 @@ namespace, so no call sees another's.
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -430,6 +432,11 @@ def main(argv=None) -> int:
     except DomainError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(doc), file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader closed stdout; the last flush must not raise too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -234,7 +234,6 @@ class Morphism(Record):
     """
 
     _fields = ("params", "source", "target", "entries")
-    __hash__ = Record.__hash__  # the own `__eq__` below would otherwise unset it
 
     def __init__(self, params: FamilyParams, source: SumObject, target: SumObject, entries):
         src, tgt = source.summands, target.summands
@@ -249,11 +248,6 @@ class Morphism(Record):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "entries", entries)
 
-    def __eq__(self, other):  # spelled out, ends compared as positions: a hot path
-        return ((self.params, self.source.summands, self.target.summands, self.entries)
-                == (other.params, other.source.summands, other.target.summands, other.entries)
-                if other.__class__ is self.__class__ else NotImplemented)
-
     @property
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
@@ -264,8 +258,8 @@ def zero_mor(params: FamilyParams, source: SumObject, target: SumObject) -> Morp
     return Morphism(params, source, target, ents)
 
 
-def _eye(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple((_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - 1 - i) for i in range(n))
+def _eye(n: int, c: Fraction = _ONE) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple((_ZERO,) * i + (c,) + (_ZERO,) * (n - 1 - i) for i in range(n))
 
 
 def identity_mor(params: FamilyParams, obj: SumObject) -> Morphism:

@@ -55,6 +55,8 @@ MEMORY_LIMIT = 2 << 30  # bytes of address space per tier-1 run: a runaway mutan
 EQUIVALENT = {
     ("angles.py", "_inexact_windows", "t < ts.stop", "<"):
         "a breakpoint at ts.stop opens a run of no t, which reports nothing",
+    ("angles.py", "_inexact_windows", "ts.start < t", "<"):
+        "the breakpoints already hold ts.start, so adding it again changes no run",
     ("angles.py", "_inexact_windows", "l - 1", "-"):
         "no two summands in one window of l positions lie more than l - 1 apart, "
         "so the wider mask of out o in keeps the same cells",

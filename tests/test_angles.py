@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -35,6 +36,7 @@ from angulated import (
     rotate_right,
     shift_angle,
     shift_mor,
+    shift_obj,
     trivial_angle,
     validate_params,
     zero_mor,
@@ -107,8 +109,37 @@ class TestTrivialAngle:
 
     @pytest.mark.parametrize("c", [0.5, Decimal("0.1"), "1/2"])
     def test_inexact_scalar_rejected(self, p449, c):
-        with pytest.raises(TypeError, match="scalar"):
+        # 0.5 reads `^scalar must be an int or a Fraction, got 0\.5$`
+        want = f"^scalar must be an int or a Fraction, got {re.escape(repr(c))}$"
+        with pytest.raises(TypeError, match=want):
             trivial_angle(p449, SumObject((1, 2)), c)
+
+
+class TestContractibleChains:
+    """The two contractible angles, spelled out over admissible(12)."""
+
+    @pytest.mark.parametrize("triple", admissible(12))
+    def test_trivial_angle_spelled_out(self, triple):
+        p = validate_params(*triple)
+        rng = random.Random(100 * p.period + p.d)
+        scalars = (1, 0, -1, Fraction(3, 5), Fraction(-7, 2))
+        for size in range(4):
+            for c in scalars:
+                # repeats allowed: positions drawn with replacement
+                x = SumObject(tuple(rng.randint(-p.period, 2 * p.period) for _ in range(size)))
+                a = trivial_angle(p, x, c)
+                assert a.objects == (x, x) + (ZERO_OBJ,) * p.d
+                assert a.maps[0] == scale(identity_mor(p, x), c)
+                ends = [*a.objects[1:], shift_obj(p, x, 1)]
+                assert [(m.source, m.target) for m in a.maps[1:]] == list(zip(ends, ends[1:]))
+                assert all(m.is_zero for m in a.maps[1:])
+
+    @pytest.mark.parametrize("triple", admissible(12))
+    def test_degenerate_angle_is_the_turned_trivial_angle(self, triple):
+        p = validate_params(*triple)
+        for pos in range(1, p.period + 1):
+            want = rotate_left(trivial_angle(p, indec(pos - p.period)))
+            assert _degenerate_angle(p, pos) == want
 
 
 class TestRotations:

@@ -406,6 +406,23 @@ class TestExitCodes:
         assert code == 2
         assert "cannot parse subcategory spec" in err
 
+    def test_closed_stdout_exits_one_without_a_traceback(self):
+        # the 186,584-byte document overflows the pipe buffer, so the
+        # reader's early close breaks the write itself
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "angulated.cli",
+             "--d", "2", "--l", "12", "--m", "13", "wide", "list"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert head.startswith(b"{") and err == ""
+
 
 class TestConfigFile:
     def test_config_supplies_params(self, capsys, tmp_path):

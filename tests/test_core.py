@@ -466,7 +466,8 @@ class TestMorphismValidation:
         for bad in (0.1, 1.0, Decimal("0.1"), "1/2"):
             with pytest.raises(TypeError, match=r"entry \(0, 1\)"):
                 Morphism(p449, SumObject((1, 2)), indec(2), ((Fraction(1), bad),))
-            with pytest.raises(TypeError, match="scalar"):
+            want = f"^scalar must be an int or a Fraction, got {re.escape(repr(bad))}$"
+            with pytest.raises(TypeError, match=want):
                 scale(basis_mor(p449, 1, 2), bad)
         assert scale(basis_mor(p449, 1, 2), 3).entries == ((Fraction(3),),)
 

@@ -20,7 +20,8 @@ kernel helper kept alive only by a test import is caught.  A cold
 `import angulated.cli` loads none of the introspection modules that
 `dataclasses` pulls in.  A record is built in one step: no package class
 defines `__post_init__`, and each constructor that perfbench's tracer wraps
-is its class's own `__init__`.
+is its class's own `__init__`.  Records have one equality: no package class
+but `Record` defines `__eq__` or `__hash__`.
 """
 
 import ast
@@ -326,10 +327,16 @@ def test_cold_import_of_the_cli_loads_no_introspection_module():
 
 
 def classes_defining(source: str, method: str) -> list[str]:
-    """Names of the classes in `source` whose own body defines `method`."""
+    """Names of the classes in `source` whose own body defines `method`, by
+    a `def` or by an assignment such as `__hash__ = Base.__hash__`."""
+    def defines(node):
+        if isinstance(node, ast.FunctionDef):
+            return node.name == method
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        return any(isinstance(t, ast.Name) and t.id == method for t in targets)
+
     return [node.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ClassDef)
-            and any(isinstance(f, ast.FunctionDef) and f.name == method for f in node.body)]
+            if isinstance(node, ast.ClassDef) and any(map(defines, node.body))]
 
 
 def test_checker_flags_a_class_defining_a_method():
@@ -348,3 +355,22 @@ def test_records_are_checked_and_set_in_their_one_init():
     # perfbench's tracer wraps `vars(cls)["__init__"]` of these four
     assert [cls.__name__ for cls in (SumObject, Morphism, Angle, SubcatSpec)
             if "__init__" not in vars(cls)] == []
+
+
+def test_checker_flags_a_class_assigning_a_method():
+    src = ("class A:\n    __hash__ = object.__hash__\n\n"
+           "class B:\n    x: int = 0\n    def __eq__(self, other):\n        return True\n\n"
+           "class C:\n    __eq__: object = None\n\n"
+           "class D:\n    hash_ = __hash__ = None\n\n"
+           "class E:\n    def f(self):\n        __hash__ = 1\n")
+    assert classes_defining(src, "__hash__") == ["A", "D"]
+    assert classes_defining(src, "__eq__") == ["B", "C"]
+
+
+def test_only_record_defines_equality_and_hashing():
+    # every value class compares and hashes by its fields through `Record`
+    found = {
+        (path.name, method): names for path in PACKAGE for method in ("__eq__", "__hash__")
+        if (names := [n for n in classes_defining(path.read_text(), method) if n != "Record"])
+    }
+    assert found == {}
