@@ -109,7 +109,6 @@ class TestTrivialAngle:
 
     @pytest.mark.parametrize("c", [0.5, Decimal("0.1"), "1/2"])
     def test_inexact_scalar_rejected(self, p449, c):
-        # 0.5 reads `^scalar must be an int or a Fraction, got 0\.5$`
         want = f"^scalar must be an int or a Fraction, got {re.escape(repr(c))}$"
         with pytest.raises(TypeError, match=want):
             trivial_angle(p449, SumObject((1, 2)), c)
